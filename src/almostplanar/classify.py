@@ -10,27 +10,13 @@ that case raises instead of returning quietly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .constructive import predicted_lengths
 from .errors import FalsificationError, OracleCapError
-from .families import (
-    H1,
-    H2,
-    Bicycle,
-    FamilySpec,
-    K33Chain,
-    Mobius,
-    Wheel,
-    enumerate_b_minors,
-    gen_k33_chain,
-    gen_mobius,
-    generate,
-    spec_to_json,
-)
+from .families import FamilySpec, family_of, instances, spec_to_json
 from .graph import Graph, is_k_connected, isomorphism, refinement_signature
 from .oracle import CycleSpectrum
 from .planarity import is_almost_planar, is_planar
@@ -43,24 +29,12 @@ GATE_NOT_ALMOST_PLANAR = "not-almost-planar"
 GATE_ALMOST_PLANAR = "almost-planar"
 
 
-def spec_vertex_count(spec: FamilySpec) -> int:
-    if isinstance(spec, Mobius):
-        return 2 * spec.k
-    if isinstance(spec, (Bicycle, Wheel)):
-        return spec.n
-    if isinstance(spec, K33Chain):
-        return 6
-    if isinstance(spec, (H1, H2)):
-        return spec.p + spec.q + spec.r + 3
-    raise TypeError(f"not a family spec: {spec!r}")
-
-
 def predict_spectrum(spec: FamilySpec) -> Optional[CycleSpectrum]:
     """Theorem-predicted spectrum, or None when no exact claim exists."""
     lengths = predicted_lengths(spec)
     if lengths is None:
         return None
-    return CycleSpectrum(spec_vertex_count(spec), lengths)
+    return CycleSpectrum(family_of(spec).vertex_count(spec), lengths)
 
 
 @dataclass(frozen=True)
@@ -114,42 +88,13 @@ class Classification:
 def _candidates(
     n: int, include_bicycle: bool = True
 ) -> tuple[tuple[FamilySpec, Graph, tuple, int], ...]:
-    """Every 3-connected non-planar family instance on n vertices with
-    its refinement signature, in match-priority order: Möbius, bicycle
-    minors, H1, H2, K33 chains.
-    """
-    out: list[tuple[FamilySpec, Graph]] = []
-    if n >= 6 and n % 2 == 0:
-        out.append((Mobius(n // 2), gen_mobius(n // 2).graph))
-    if n >= 5 and include_bicycle:
-        for spec in enumerate_b_minors(n, cap=max(n, 12)):
-            out.append((spec, generate(spec).graph))
-    if n >= 6:
-        for cls in (H1, H2):
-            for p in range(1, n - 4):
-                for q in range(1, n - 3 - p):
-                    r = n - 3 - p - q
-                    if r < 1:
-                        continue
-                    for size in range(4):
-                        for deleted in itertools.combinations(
-                            ("ab", "bc", "ac"), size
-                        ):
-                            spec = cls(p, q, r, frozenset(deleted))
-                            g = generate(spec).graph
-                            if is_planar(g) or not is_k_connected(g, 3):
-                                continue
-                            out.append((spec, g))
-    if n == 6:
-        for size in range(4):
-            for extras in itertools.combinations(("ab", "bc", "ac"), size):
-                spec = K33Chain(frozenset(extras))
-                out.append((spec, gen_k33_chain(extras).graph))
-    enriched = []
-    for spec, g in out:
+    """The family instances on n vertices, in match-priority order, each
+    with its refinement signature and the signature's hash."""
+    out = []
+    for spec, g in instances(n, include_bicycle):
         sig = refinement_signature(g)
-        enriched.append((spec, g, sig, hash(sig)))
-    return tuple(enriched)
+        out.append((spec, g, sig, hash(sig)))
+    return tuple(out)
 
 
 def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
@@ -189,13 +134,12 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
         raise FalsificationError(
             "3-connected almost-planar graph matched no family instance; "
             "this contradicts the classification of the class "
-            f"(n={g.n}, m={g.m}, degrees={sig[1]})"
+            f"(n={g.n}, m={g.m}, degrees={g.degree_sequence()})"
         )
 
     matched_spec, iso_map = matches[0]
-    lengths = predicted_lengths(matched_spec)
-    assert lengths is not None  # matched specs always carry a prediction
-    spectrum = CycleSpectrum(g.n, lengths)
+    spectrum = predict_spectrum(matched_spec)
+    assert spectrum is not None  # matched specs always carry a prediction
     predicted = Prediction(
         pancyclic=spectrum.pancyclic,
         hamiltonian=spectrum.hamiltonian,

@@ -18,15 +18,7 @@ from . import verify as verify_mod
 from .classify import DEFAULT_CLASSIFY_CAP, classify
 from .constructive import constructive_spectrum
 from .errors import FalsificationError, OracleCapError, UnclassifiableError
-from .families import (
-    FamilySpec,
-    K33Chain,
-    Mobius,
-    Wheel,
-    a_graph_spec,
-    generate,
-    graph_to_dot,
-)
+from .families import FAMILIES, FamilySpec, a_graph_spec, generate, graph_to_dot
 from .graph import Graph, format_edge_list, parse_edge_list
 from .oracle import cycle_spectrum
 
@@ -37,50 +29,49 @@ EXIT_ORACLE_CAP = 3
 EXIT_UNCLASSIFIABLE = 4
 
 
-def _parse_int_list(text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(int(tok) for tok in text.split(",") if tok)
+# The gen option of each set-valued spec field; an int field's option
+# carries the field's own name.
+_SET_OPTIONS = {
+    "removed_s": "remove_s",
+    "removed_t": "remove_t",
+    "extra_edges": "extra",
+    "deleted": "delete",
+}
 
 
-def _parse_name_list(text: str) -> frozenset[str]:
-    if not text:
-        return frozenset()
+def _parse_list(text: str, kind: type) -> frozenset:
+    if kind is int:
+        return frozenset(int(tok) for tok in text.split(",") if tok)
     return frozenset(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _family_choices() -> list[str]:
+    """Registry families, with ``a`` (the alternating bicycle minor A_n)
+    right after ``bicycle``."""
+    names = list(FAMILIES)
+    names.insert(names.index("bicycle") + 1, "a")
+    return names
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     fam = args.family
-    if fam == "mobius":
-        if args.k is None:
-            raise ValueError("--family mobius needs --k")
-        return Mobius(args.k)
-    if fam in ("bicycle", "a"):
+    if fam == "a":
         if args.n is None:
-            raise ValueError(f"--family {fam} needs --n")
-        if fam == "a":
-            return a_graph_spec(args.n)
-        from .families import Bicycle
-
-        return Bicycle(
-            args.n,
-            _parse_int_list(args.remove_s),
-            _parse_int_list(args.remove_t),
+            raise ValueError("--family a needs --n")
+        return a_graph_spec(args.n)
+    family = FAMILIES[fam]
+    scalars = [name for name, _, is_set in family.params if not is_set]
+    if any(getattr(args, name) is None for name in scalars):
+        needed = " ".join(f"--{name}" for name in scalars)
+        raise ValueError(f"--family {fam} needs {needed}")
+    return family.spec_type(
+        *(
+            _parse_list(getattr(args, _SET_OPTIONS[name]), kind)
+            if is_set
+            else getattr(args, name)
+            for name, kind, is_set in family.params
         )
-    if fam == "wheel":
-        if args.n is None:
-            raise ValueError("--family wheel needs --n")
-        return Wheel(args.n)
-    if fam == "k33chain":
-        return K33Chain(_parse_name_list(args.extra))
-    if fam in ("h1", "h2"):
-        if None in (args.p, args.q, args.r):
-            raise ValueError(f"--family {fam} needs --p --q --r")
-        from .families import H1, H2
-
-        cls = H1 if fam == "h1" else H2
-        return cls(args.p, args.q, args.r, _parse_name_list(args.delete))
-    raise ValueError(f"unknown family {fam!r}")
+    )
 
 
 def _read_graph(source: str) -> Graph:
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--family",
         required=True,
-        choices=["mobius", "bicycle", "a", "wheel", "k33chain", "h1", "h2"],
+        choices=_family_choices(),
     )
     gen.add_argument("--k", type=int)
     gen.add_argument("--n", type=int)

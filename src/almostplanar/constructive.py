@@ -9,7 +9,9 @@ against the exhaustive oracle.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .errors import FalsificationError, NotInSpectrumError, UnclassifiableError
 from .families import (
@@ -17,10 +19,11 @@ from .families import (
     H2,
     Bicycle,
     FamilySpec,
-    K33Chain,
     LabeledInstance,
     Mobius,
     Wheel,
+    a_graph_spec,
+    family_of,
     gen_bicycle,
     generate,
     rim_index,
@@ -30,6 +33,8 @@ from .oracle import CycleSpectrum, validate_cycle, validate_path
 from .planarity import is_planar
 
 CHORDS_ALL = frozenset(("ab", "bc", "ac"))
+
+Builder = Callable[[int], list[int]]
 
 
 def _gate_cycle(g: Graph, seq: list[int], length: int) -> list[int]:
@@ -50,9 +55,10 @@ def _gate_path(g: Graph, seq: list[int], length: int) -> list[int]:
     return seq
 
 
-def _require_family(inst: LabeledInstance, kind: type) -> FamilySpec:
-    if not isinstance(inst.family, kind):
-        raise ValueError(f"expected a {kind.__name__} instance, got {inst.family!r}")
+def _require_family(inst: LabeledInstance, *kinds: type) -> FamilySpec:
+    if not isinstance(inst.family, kinds):
+        names = "/".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"expected a {names} instance, got {inst.family!r}")
     return inst.family
 
 
@@ -187,12 +193,7 @@ def b_graph_ham_cycle(inst: LabeledInstance) -> list[int]:
 
 
 def _is_alternating_even(spec: Bicycle) -> bool:
-    r = spec.n - 2
-    if spec.n % 2 != 0:
-        return False
-    return spec.removed_s == frozenset(
-        i for i in range(1, r + 1) if i % 2 == 0
-    ) and spec.removed_t == frozenset(i for i in range(1, r + 1) if i % 2 == 1)
+    return spec.n % 2 == 0 and spec == a_graph_spec(spec.n)
 
 
 def a_even_cycle(inst: LabeledInstance, length: int) -> list[int]:
@@ -275,21 +276,23 @@ def wheel_cycle(inst: LabeledInstance, length: int) -> list[int]:
 # -- fan families ----------------------------------------------------------------
 
 
-def _h_parts(inst: LabeledInstance) -> tuple[FamilySpec, dict[str, int]]:
-    spec = inst.family
-    if not isinstance(spec, (H1, H2)):
-        raise ValueError(f"expected an H1/H2 instance, got {spec!r}")
+def _h_parts(inst: LabeledInstance, length: int) -> tuple[FamilySpec, dict[str, int]]:
+    """Spec and role map of a fully-deleted H1/H2 instance that may have
+    a cycle of the requested length."""
+    spec = _require_family(inst, H1, H2)
     if spec.deleted != CHORDS_ALL:
         raise ValueError("cycle builders operate on the fully-deleted variant")
+    if not 3 <= length <= inst.graph.n:
+        raise NotInSpectrumError(f"cycle length must be in 3..{inst.graph.n}")
+    if _is_k33_degenerate(spec) and length not in (4, 6):
+        raise NotInSpectrumError(
+            "H(1,1,1) minus all chords is K_{3,3}: only lengths 4 and 6"
+        )
     return spec, inst.role_to_vertex
 
 
 def _is_k33_degenerate(spec: FamilySpec) -> bool:
-    return (
-        isinstance(spec, (H1, H2))
-        and (spec.p, spec.q, spec.r) == (1, 1, 1)
-        and spec.deleted == CHORDS_ALL
-    )
+    return (spec.p, spec.q, spec.r) == (1, 1, 1) and spec.deleted == CHORDS_ALL
 
 
 def _fan_run(rv: dict[str, int], prefix: str, lo: int, hi: int) -> list[int]:
@@ -306,15 +309,9 @@ def h1_cycle(inst: LabeledInstance, length: int) -> list[int]:
     view cannot reach use the dedicated fan-to-fan cycles; the full
     length is the standard Hamiltonian cycle.
     """
-    spec, rv = _h_parts(inst)
+    spec, rv = _h_parts(inst, length)
     p, q, r = spec.p, spec.q, spec.r
-    n = p + q + r + 3
-    if not 3 <= length <= n:
-        raise NotInSpectrumError(f"cycle length must be in 3..{n}")
-    if _is_k33_degenerate(spec) and length not in (4, 6):
-        raise NotInSpectrumError(
-            "H(1,1,1) minus all chords is K_{3,3}: only lengths 4 and 6"
-        )
+    n = inst.graph.n
     a, b, c = rv["a"], rv["b"], rv["c"]
     g = inst.graph
 
@@ -381,15 +378,9 @@ def h2_cycle(inst: LabeledInstance, length: int) -> list[int]:
     y vertices via their hub b and trailing z vertices via their hub a.
     Lengths 3..5 come from within single fans.
     """
-    spec, rv = _h_parts(inst)
+    spec, rv = _h_parts(inst, length)
     p, q, r = spec.p, spec.q, spec.r
-    n = p + q + r + 3
-    if not 3 <= length <= n:
-        raise NotInSpectrumError(f"cycle length must be in 3..{n}")
-    if _is_k33_degenerate(spec) and length not in (4, 6):
-        raise NotInSpectrumError(
-            "H(1,1,1) minus all chords is K_{3,3}: only lengths 4 and 6"
-        )
+    n = inst.graph.n
     a, b, c = rv["a"], rv["b"], rv["c"]
     g = inst.graph
 
@@ -471,7 +462,84 @@ def k33_chain_cycle(inst: LabeledInstance, length: int) -> list[int]:
     return _gate_cycle(g, seq, length)
 
 
-# -- predicted spectra and the full constructive dispatch -------------------------
+# -- the spectral table and the full constructive dispatch -------------------------
+
+
+def _bicycle_lengths(spec: Bicycle) -> Optional[frozenset[int]]:
+    g = gen_bicycle(
+        spec.n, spec.removed_s, spec.removed_t, require_3_connected=False
+    ).graph
+    if not is_k_connected(g, 3) or is_planar(g):
+        return None
+    if is_bipartite(g):
+        return frozenset(range(4, spec.n + 1, 2))
+    return frozenset(range(3, spec.n + 1))
+
+
+def _bicycle_builder(spec: Bicycle, inst: LabeledInstance) -> Builder:
+    if not spec.removed_s and not spec.removed_t:
+        return partial(bicycle_cycle, inst)
+    if _is_alternating_even(spec):
+        return partial(a_even_cycle, inst)
+
+    def build(length: int) -> list[int]:
+        if length == spec.n:
+            return b_graph_ham_cycle(inst)
+        return b_adjacent_spoke_cycle(inst, length)
+
+    return build
+
+
+def _fan_lengths(spec: FamilySpec) -> frozenset[int]:
+    if _is_k33_degenerate(spec):
+        return frozenset((4, 6))
+    if (spec.p, spec.q, spec.r) == (1, 1, 1):
+        return frozenset(range(3, 7))
+    return frozenset(range(3, family_of(spec).vertex_count(spec) + 1))
+
+
+def _fan_builder(
+    spec: FamilySpec, inst: LabeledInstance, fan_cycle: Callable
+) -> Builder:
+    if spec.deleted == CHORDS_ALL:
+        return partial(fan_cycle, inst)
+    if (spec.p, spec.q, spec.r) == (1, 1, 1):
+        return partial(k33_chain_cycle, inst)
+    # Witnesses built on the fully-deleted variant stay valid here: same
+    # vertex numbering, fewer edges.
+    return partial(fan_cycle, generate(replace(spec, deleted=CHORDS_ALL)))
+
+
+class Spectral(NamedTuple):
+    """A family's predicted cycle lengths and its witness builder."""
+
+    lengths: Callable[[FamilySpec], Optional[frozenset[int]]]
+    builder: Callable[[FamilySpec, LabeledInstance], Builder]
+
+
+# Builders are looked up when an entry runs, so rebinding one (as a tracer
+# does) takes effect here too.
+SPECTRA: dict[str, Spectral] = {
+    "mobius": Spectral(
+        lambda spec: mobius_lengths(spec.k),
+        lambda spec, inst: partial(mobius_cycle, inst),
+    ),
+    "bicycle": Spectral(_bicycle_lengths, _bicycle_builder),
+    "wheel": Spectral(
+        lambda spec: frozenset(range(3, spec.n + 1)),
+        lambda spec, inst: partial(wheel_cycle, inst),
+    ),
+    "k33chain": Spectral(
+        lambda spec: frozenset(range(3, 7) if spec.extra_edges else (4, 6)),
+        lambda spec, inst: partial(k33_chain_cycle, inst),
+    ),
+    "h1": Spectral(
+        _fan_lengths, lambda spec, inst: _fan_builder(spec, inst, h1_cycle)
+    ),
+    "h2": Spectral(
+        _fan_lengths, lambda spec, inst: _fan_builder(spec, inst, h2_cycle)
+    ),
+}
 
 
 def predicted_lengths(spec: FamilySpec) -> Optional[frozenset[int]]:
@@ -480,31 +548,7 @@ def predicted_lengths(spec: FamilySpec) -> Optional[frozenset[int]]:
     Returns None when no exact spectrum is claimed for the spec (for
     example a bicycle pattern that is planar or not 3-connected).
     """
-    if isinstance(spec, Mobius):
-        return mobius_lengths(spec.k)
-    if isinstance(spec, Wheel):
-        return frozenset(range(3, spec.n + 1))
-    if isinstance(spec, K33Chain):
-        if spec.extra_edges:
-            return frozenset(range(3, 7))
-        return frozenset((4, 6))
-    if isinstance(spec, Bicycle):
-        g = gen_bicycle(
-            spec.n, spec.removed_s, spec.removed_t, require_3_connected=False
-        ).graph
-        if not is_k_connected(g, 3) or is_planar(g):
-            return None
-        if is_bipartite(g):
-            return frozenset(range(4, spec.n + 1, 2))
-        return frozenset(range(3, spec.n + 1))
-    if isinstance(spec, (H1, H2)):
-        n = spec.p + spec.q + spec.r + 3
-        if _is_k33_degenerate(spec):
-            return frozenset((4, 6))
-        if (spec.p, spec.q, spec.r) == (1, 1, 1):
-            return frozenset(range(3, 7))
-        return frozenset(range(3, n + 1))
-    raise TypeError(f"not a family spec: {spec!r}")
+    return SPECTRA[family_of(spec).name].lengths(spec)
 
 
 def constructive_spectrum(spec: FamilySpec) -> CycleSpectrum:
@@ -515,44 +559,9 @@ def constructive_spectrum(spec: FamilySpec) -> CycleSpectrum:
             f"no theorem-backed spectrum for spec {spec!r}"
         )
     inst = generate(spec)
-    witnesses: dict[int, list[int]] = {}
-
-    if isinstance(spec, Mobius):
-        build = lambda length: mobius_cycle(inst, length)  # noqa: E731
-    elif isinstance(spec, Wheel):
-        build = lambda length: wheel_cycle(inst, length)  # noqa: E731
-    elif isinstance(spec, K33Chain):
-        build = lambda length: k33_chain_cycle(inst, length)  # noqa: E731
-    elif isinstance(spec, Bicycle):
-        if not spec.removed_s and not spec.removed_t:
-            build = lambda length: bicycle_cycle(inst, length)  # noqa: E731
-        elif _is_alternating_even(spec):
-            build = lambda length: a_even_cycle(inst, length)  # noqa: E731
-        else:
-
-            def build(length: int) -> list[int]:
-                if length == spec.n:
-                    return b_graph_ham_cycle(inst)
-                return b_adjacent_spoke_cycle(inst, length)
-
-    else:  # H1 / H2
-        if (spec.p, spec.q, spec.r) == (1, 1, 1) and spec.deleted != CHORDS_ALL:
-            build = lambda length: k33_chain_cycle(inst, length)  # noqa: E731
-        else:
-            if spec.deleted == CHORDS_ALL:
-                core = inst
-            else:
-                # Witnesses built on the fully-deleted variant stay valid
-                # here: same vertex numbering, fewer edges.
-                core_spec = type(spec)(spec.p, spec.q, spec.r, CHORDS_ALL)
-                core = generate(core_spec)
-            h_build = h1_cycle if isinstance(spec, H1) else h2_cycle
-
-            def build(length: int) -> list[int]:
-                return h_build(core, length)
-
+    build = SPECTRA[family_of(spec).name].builder(spec, inst)
     g = inst.graph
-    for length in sorted(lengths):
-        seq = build(length)
-        witnesses[length] = _gate_cycle(g, seq, length)
+    witnesses = {
+        length: _gate_cycle(g, build(length), length) for length in sorted(lengths)
+    }
     return CycleSpectrum(g.n, lengths, witnesses)

@@ -15,6 +15,14 @@ Each generator returns a :class:`LabeledInstance`: the graph plus role
 labels tying vertices and edges to the family's standard names, which
 the constructive cycle builders rely on.
 
+Every per-family fact lives in one place.  The registry ``FAMILIES``
+holds each family's name, spec type (its fields are the parameters),
+vertex count and generator; :func:`generate` and the JSON round-trip
+read from it.  :func:`instances` is the one enumeration of the family
+instances on n vertices.  Cycle spectra and builders sit in one table,
+``constructive.SPECTRA``, so adding a family touches the registry plus
+one spectral entry.
+
 Label conventions fixed here (and relied on everywhere else):
 
 * Bicycle: rim vertices 1..n-2, rim edge ``r_i`` joins i and i+1
@@ -37,8 +45,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence, Union
+from typing import get_args, get_origin, get_type_hints
 
 from .graph import Edge, Graph, edge, is_k_connected
 from .planarity import is_planar
@@ -87,56 +96,6 @@ class H2:
 
 
 FamilySpec = Union[Mobius, Bicycle, Wheel, K33Chain, H1, H2]
-
-
-def spec_to_json(spec: FamilySpec) -> dict:
-    if isinstance(spec, Mobius):
-        return {"family": "mobius", "k": spec.k}
-    if isinstance(spec, Bicycle):
-        return {
-            "family": "bicycle",
-            "n": spec.n,
-            "removed_s": sorted(spec.removed_s),
-            "removed_t": sorted(spec.removed_t),
-        }
-    if isinstance(spec, Wheel):
-        return {"family": "wheel", "n": spec.n}
-    if isinstance(spec, K33Chain):
-        return {"family": "k33chain", "extra_edges": sorted(spec.extra_edges)}
-    if isinstance(spec, (H1, H2)):
-        return {
-            "family": "h1" if isinstance(spec, H1) else "h2",
-            "p": spec.p,
-            "q": spec.q,
-            "r": spec.r,
-            "deleted": sorted(spec.deleted),
-        }
-    raise TypeError(f"not a family spec: {spec!r}")
-
-
-def spec_from_json(data: dict) -> FamilySpec:
-    fam = data.get("family")
-    if fam == "mobius":
-        return Mobius(k=int(data["k"]))
-    if fam == "bicycle":
-        return Bicycle(
-            n=int(data["n"]),
-            removed_s=frozenset(int(i) for i in data.get("removed_s", ())),
-            removed_t=frozenset(int(i) for i in data.get("removed_t", ())),
-        )
-    if fam == "wheel":
-        return Wheel(n=int(data["n"]))
-    if fam == "k33chain":
-        return K33Chain(frozenset(data.get("extra_edges", ())))
-    if fam in ("h1", "h2"):
-        cls = H1 if fam == "h1" else H2
-        return cls(
-            p=int(data["p"]),
-            q=int(data["q"]),
-            r=int(data["r"]),
-            deleted=frozenset(data.get("deleted", ())),
-        )
-    raise ValueError(f"unknown family {fam!r}")
 
 
 # -- labeled instances ---------------------------------------------------------
@@ -405,7 +364,7 @@ def attach_fan(
     )
 
 
-def _gen_h(spec: Union[H1, H2]) -> LabeledInstance:
+def _gen_h(spec: Union[H1, H2], third_hub: str) -> LabeledInstance:
     if min(spec.p, spec.q, spec.r) < 1:
         raise ValueError("fan lengths p, q, r must be >= 1")
     bad = spec.deleted - set(CHORD_NAMES)
@@ -430,7 +389,7 @@ def _gen_h(spec: Union[H1, H2]) -> LabeledInstance:
         spec.q,
         [f"y{i}" for i in range(2, spec.q + 1)],
     )
-    third_side = edge(b, z1) if isinstance(spec, H1) else edge(a, z1)
+    third_side = edge(rv[third_hub], z1)
     inst = attach_fan(
         inst,
         (edge(a, b), edge(b, z1), edge(a, z1)),
@@ -453,34 +412,14 @@ def gen_h1(
     p: int, q: int, r: int, deleted: Sequence[str] | frozenset[str] = ()
 ) -> LabeledInstance:
     """H1(p, q, r): three fans on K33''', all hubbed at b."""
-    return _gen_h(H1(p, q, r, frozenset(deleted)))
+    return _gen_h(H1(p, q, r, frozenset(deleted)), "b")
 
 
 def gen_h2(
     p: int, q: int, r: int, deleted: Sequence[str] | frozenset[str] = ()
 ) -> LabeledInstance:
     """H2(p, q, r): like H1 but the third fan is hubbed at a."""
-    return _gen_h(H2(p, q, r, frozenset(deleted)))
-
-
-# -- dispatcher ----------------------------------------------------------------
-
-
-def generate(spec: FamilySpec, require_3_connected: bool = True) -> LabeledInstance:
-    """Build the labeled instance for any family spec."""
-    if isinstance(spec, Mobius):
-        return gen_mobius(spec.k)
-    if isinstance(spec, Bicycle):
-        return gen_bicycle(
-            spec.n, spec.removed_s, spec.removed_t, require_3_connected
-        )
-    if isinstance(spec, Wheel):
-        return gen_wheel(spec.n)
-    if isinstance(spec, K33Chain):
-        return gen_k33_chain(spec.extra_edges)
-    if isinstance(spec, (H1, H2)):
-        return _gen_h(spec)
-    raise TypeError(f"not a family spec: {spec!r}")
+    return _gen_h(H2(p, q, r, frozenset(deleted)), "a")
 
 
 # -- enumeration of bicycle minors ----------------------------------------------
@@ -515,17 +454,12 @@ def _bicycle_from_pattern(n: int, state: str) -> Bicycle:
 
 
 @lru_cache(maxsize=None)
-def enumerate_b_minors(
-    n: int,
-    require_3connected: bool = True,
-    require_nonplanar: bool = True,
-    cap: int = _B_MINOR_CAP,
-) -> tuple[Bicycle, ...]:
-    """All spoke-deletion specs of B_n passing the requested filters.
+def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
+    """All 3-connected non-planar spoke-deletion specs of B_n.
 
-    Filters are computed, not assumed.  Results are deduplicated up to
-    rim rotation, rim reflection and hub swap, and returned in a stable
-    order (fewest removals first).
+    Both properties are computed, not assumed.  Results are deduplicated
+    up to rim rotation, rim reflection and hub swap, and returned in a
+    stable order (fewest removals first).
     """
     if n < 5:
         raise ValueError("need n >= 5")
@@ -541,11 +475,139 @@ def enumerate_b_minors(
         seen |= _pattern_orbit(state)
         spec = _bicycle_from_pattern(n, state)
         g = gen_bicycle(n, spec.removed_s, spec.removed_t).graph
-        if require_3connected and not is_k_connected(g, 3):
-            continue
-        if require_nonplanar and is_planar(g):
+        if not is_k_connected(g, 3) or is_planar(g):
             continue
         removed = len(spec.removed_s) + len(spec.removed_t)
         out.append(((removed, state), spec))
     out.sort(key=lambda item: item[0])
     return tuple(spec for _, spec in out)
+
+
+# -- the family registry -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family's name, spec type, vertex count and generator.
+
+    The spec type's fields are the family's parameters in JSON and CLI
+    order, and the generator takes them positionally in that order.
+    """
+
+    name: str
+    spec_type: type
+    vertex_count: Callable[[FamilySpec], int]
+    build: Callable[..., LabeledInstance]
+
+    @cached_property
+    def params(self) -> tuple[tuple[str, type, bool], ...]:
+        """(field name, value or element type, is a frozenset) per field."""
+        out = []
+        for name, hint in get_type_hints(self.spec_type).items():
+            is_set = get_origin(hint) is frozenset
+            out.append((name, get_args(hint)[0] if is_set else hint, is_set))
+        return tuple(out)
+
+
+def _fan_vertex_count(spec: Union[H1, H2]) -> int:
+    return spec.p + spec.q + spec.r + 3
+
+
+# The generators are stored as objects: none is an entry point that
+# perfbench/tracer.py rebinds (``generate`` is, and stays a module function).
+FAMILIES: dict[str, Family] = {
+    family.name: family
+    for family in (
+        Family("mobius", Mobius, lambda spec: 2 * spec.k, gen_mobius),
+        Family("bicycle", Bicycle, lambda spec: spec.n, gen_bicycle),
+        Family("wheel", Wheel, lambda spec: spec.n, gen_wheel),
+        Family("k33chain", K33Chain, lambda spec: 6, gen_k33_chain),
+        Family("h1", H1, _fan_vertex_count, gen_h1),
+        Family("h2", H2, _fan_vertex_count, gen_h2),
+    )
+}
+
+_BY_SPEC_TYPE = {family.spec_type: family for family in FAMILIES.values()}
+
+
+def family_of(spec: FamilySpec) -> Family:
+    """The registry entry of a spec's family."""
+    family = _BY_SPEC_TYPE.get(type(spec))
+    if family is None:
+        raise TypeError(f"not a family spec: {spec!r}")
+    return family
+
+
+def spec_to_json(spec: FamilySpec) -> dict:
+    family = family_of(spec)
+    data: dict = {"family": family.name}
+    for name, _, is_set in family.params:
+        value = getattr(spec, name)
+        data[name] = sorted(value) if is_set else value
+    return data
+
+
+def spec_from_json(data: dict) -> FamilySpec:
+    fam = data.get("family")
+    family = FAMILIES.get(fam) if isinstance(fam, str) else None
+    if family is None:
+        raise ValueError(f"unknown family {fam!r}")
+    return family.spec_type(
+        *(
+            frozenset(map(kind, data.get(name, ()))) if is_set else kind(data[name])
+            for name, kind, is_set in family.params
+        )
+    )
+
+
+def generate(spec: FamilySpec) -> LabeledInstance:
+    """Build the labeled instance for any family spec."""
+    family = family_of(spec)
+    return family.build(*(getattr(spec, name) for name, _, _ in family.params))
+
+
+# -- the family instances on n vertices ----------------------------------------------
+
+_CHORD_SUBSETS = tuple(
+    frozenset(chords)
+    for size in range(len(CHORD_NAMES) + 1)
+    for chords in itertools.combinations(CHORD_NAMES, size)
+)
+
+
+@lru_cache(maxsize=None)
+def fan_instances(n: int) -> tuple[tuple[FamilySpec, Graph], ...]:
+    """Every 3-connected non-planar H1, then H2, instance on n vertices:
+    all fan lengths with p + q + r = n - 3 and all chord deletions."""
+    out = []
+    for spec_type in (H1, H2):
+        for p in range(1, n - 4):
+            for q in range(1, n - 3 - p):
+                for deleted in _CHORD_SUBSETS:
+                    spec = spec_type(p, q, n - 3 - p - q, deleted)
+                    g = generate(spec).graph
+                    if not is_planar(g) and is_k_connected(g, 3):
+                        out.append((spec, g))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def instances(
+    n: int, include_bicycle: bool = True
+) -> tuple[tuple[FamilySpec, Graph], ...]:
+    """Every 3-connected non-planar family instance on n vertices, in
+    match-priority order: Möbius, bicycle minors, H1, H2, K33 chains.
+
+    ``include_bicycle=False`` leaves out the bicycle minors, whose sweep
+    runs over 3^(n-2) spoke patterns.
+    """
+    specs: list[FamilySpec] = []
+    if n >= 6 and n % 2 == 0:
+        specs.append(Mobius(n // 2))
+    if n >= 5 and include_bicycle:
+        specs += enumerate_b_minors(n, cap=max(n, _B_MINOR_CAP))
+    out = [(spec, generate(spec).graph) for spec in specs]
+    out += fan_instances(n)
+    if n == 6:
+        out += [(spec, generate(spec).graph) for spec in map(K33Chain, _CHORD_SUBSETS)]
+    return tuple(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import constructive, errata, families, oracle, planarity
@@ -45,50 +46,23 @@ def _fail(name: str, detail: str, g: Optional[Graph] = None) -> CheckResult:
 
 # -- shared corpus ---------------------------------------------------------------
 
-_corpus_cache: dict[int, tuple[tuple[families.FamilySpec, Graph], ...]] = {}
-_spectra_cache: dict[int, dict[families.FamilySpec, frozenset[int]]] = {}
 
-
+@lru_cache(maxsize=None)
 def family_corpus(n_max: int) -> tuple[tuple[families.FamilySpec, Graph], ...]:
     """Every generated 3-connected non-planar family instance with
-    n <= n_max: Möbius ladders, bicycle minors (deduplicated), fan
-    families over all admissible deletions, and the K33 chains.
-    """
-    if n_max in _corpus_cache:
-        return _corpus_cache[n_max]
-    out: list[tuple[families.FamilySpec, Graph]] = []
-    for k in range(3, n_max // 2 + 1):
-        out.append((families.Mobius(k), families.gen_mobius(k).graph))
-    for n in range(5, n_max + 1):
-        for spec in families.enumerate_b_minors(n, cap=max(n, 12)):
-            out.append((spec, families.generate(spec).graph))
-    for cls in (families.H1, families.H2):
-        for p, q, r in itertools.product(range(1, n_max - 4), repeat=3):
-            if p + q + r + 3 > n_max:
-                continue
-            for size in range(4):
-                for deleted in itertools.combinations(("ab", "bc", "ac"), size):
-                    spec = cls(p, q, r, frozenset(deleted))
-                    g = families.generate(spec).graph
-                    if planarity.is_planar(g) or not is_k_connected(g, 3):
-                        continue
-                    out.append((spec, g))
-    if n_max >= 6:
-        for size in range(4):
-            for extras in itertools.combinations(("ab", "bc", "ac"), size):
-                spec = families.K33Chain(frozenset(extras))
-                out.append((spec, families.generate(spec).graph))
-    _corpus_cache[n_max] = tuple(out)
-    return _corpus_cache[n_max]
+    n <= n_max, by n and within each n in match-priority order."""
+    return tuple(
+        itertools.chain.from_iterable(
+            families.instances(n) for n in range(5, n_max + 1)
+        )
+    )
 
 
+@lru_cache(maxsize=None)
 def corpus_spectra(n_max: int) -> dict[families.FamilySpec, frozenset[int]]:
-    if n_max not in _spectra_cache:
-        _spectra_cache[n_max] = {
-            spec: oracle.cycle_spectrum(g).lengths
-            for spec, g in family_corpus(n_max)
-        }
-    return _spectra_cache[n_max]
+    return {
+        spec: oracle.cycle_spectrum(g).lengths for spec, g in family_corpus(n_max)
+    }
 
 
 # -- criteria ---------------------------------------------------------------------
@@ -196,32 +170,19 @@ def criterion_h_graphs(max_n: Optional[int] = None) -> CheckResult:
     n_cap = max_n if max_n else 12
     k33 = families.gen_k33_chain(()).graph
     checked = 0
-    for cls, build in (
-        (families.H1, constructive.h1_cycle),
-        (families.H2, constructive.h2_cycle),
-    ):
-        for p, q, r in itertools.product(range(1, hi + 1), repeat=3):
-            if p + q + r + 3 > n_cap:
+    for n in range(6, min(n_cap, 3 * hi + 3) + 1):
+        for spec, g in families.fan_instances(n):
+            if max(spec.p, spec.q, spec.r) > hi:
                 continue
-            for size in range(4):
-                for deleted in itertools.combinations(("ab", "bc", "ac"), size):
-                    spec = cls(p, q, r, frozenset(deleted))
-                    inst = families.generate(spec)
-                    g = inst.graph
-                    if planarity.is_planar(g) or not is_k_connected(g, 3):
-                        continue
-                    checked += 1
-                    pan = oracle.is_pancyclic(g)
-                    if are_isomorphic(g, k33):
-                        if pan:
-                            return _fail(name, f"{spec} is K33 yet pancyclic?", g)
-                    elif not pan:
-                        return _fail(name, f"{spec} not pancyclic", g)
-            full = cls(p, q, r, frozenset(("ab", "bc", "ac")))
-            inst = families.generate(full)
-            lengths = constructive.predicted_lengths(full)
-            for length in sorted(lengths):
-                build(inst, length)  # validates internally
+            checked += 1
+            pan = oracle.is_pancyclic(g)
+            if are_isomorphic(g, k33):
+                if pan:
+                    return _fail(name, f"{spec} is K33 yet pancyclic?", g)
+            elif not pan:
+                return _fail(name, f"{spec} not pancyclic", g)
+            if spec.deleted == constructive.CHORDS_ALL:
+                constructive.constructive_spectrum(spec)  # validates every witness
     return CheckResult(
         name, True, f"{checked} instances with p,q,r<={hi}: pancyclic except "
         "K33; fully-deleted witnesses validate for every length"

@@ -1,9 +1,10 @@
 """Acceptance suite: every criterion runs its full stated range and
 prints one pass/fail line.
 
-The heavy shared work (the corpus of all family instances up to 12
-vertices and their oracle spectra) is cached inside the verify module,
-so the criteria that sweep the corpus share one computation.
+The heavy shared work is cached, so the criteria that sweep the corpus
+share one computation: the family instances on each n are built once
+by ``families.instances`` (which the classifier reuses), and the verify
+module caches the corpus up to 12 vertices and its oracle spectra.
 """
 
 import pytest

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import re
 
 import pytest
 
@@ -10,7 +12,7 @@ from almostplanar.classify import (
     classify,
     predict_spectrum,
 )
-from almostplanar.errors import OracleCapError
+from almostplanar.errors import FalsificationError, OracleCapError
 from almostplanar.families import (
     H1,
     H2,
@@ -127,3 +129,12 @@ def test_classify_cap():
         classify(gen_mobius(7).graph)  # n = 14 over the default cap
     res = classify(gen_mobius(7).graph, cap=14)
     assert res.matched_spec == Mobius(7)
+
+
+def test_falsification_message_reports_degrees(monkeypatch, k33):
+    # The package re-exports the function under the submodule's name.
+    classify_module = importlib.import_module("almostplanar.classify")
+    monkeypatch.setattr(classify_module, "_candidates", lambda n, include_bicycle: ())
+    degrees = str(k33.degree_sequence())
+    with pytest.raises(FalsificationError, match=re.escape(f"degrees={degrees}")):
+        classify(k33)

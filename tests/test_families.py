@@ -12,6 +12,7 @@ from almostplanar.families import (
     a_graph_spec,
     attach_fan,
     enumerate_b_minors,
+    family_of,
     gen_a_graph,
     gen_bicycle,
     gen_h1,
@@ -25,6 +26,7 @@ from almostplanar.families import (
 )
 from almostplanar.graph import are_isomorphic, edge, is_bipartite, is_k_connected
 from almostplanar.planarity import is_almost_planar, is_planar
+from almostplanar.verify import family_corpus
 
 
 def test_mobius_shape():
@@ -160,10 +162,14 @@ def test_attach_fan_rejects_bad_triangles():
         K33Chain(frozenset({"ab"})),
         H1(2, 1, 3, frozenset({"bc"})),
         H2(1, 2, 2, frozenset({"ab", "ac"})),
+        pytest.param(None, id="corpus-n10"),
     ],
 )
 def test_spec_json_round_trip(spec):
-    assert spec_from_json(spec_to_json(spec)) == spec
+    specs = [spec] if spec is not None else [s for s, _ in family_corpus(10)]
+    for s in specs:
+        assert spec_from_json(spec_to_json(s)) == s
+        assert generate(s).graph.n == family_of(s).vertex_count(s), s
 
 
 def test_generated_instances_are_almost_planar():

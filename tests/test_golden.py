@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from almostplanar import cli, verify
-from almostplanar.classify import _candidates, classify
+from almostplanar.classify import classify
 from almostplanar.families import (
     H1,
     Bicycle,
@@ -31,6 +31,7 @@ from almostplanar.families import (
     gen_bicycle,
     gen_wheel,
     generate,
+    instances,
     spec_to_json,
 )
 from almostplanar.graph import Graph, format_edge_list
@@ -70,6 +71,10 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _json(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
 def _digest(items) -> dict:
     text = json.dumps(items, sort_keys=True)
     return {"count": len(items), "sha256": hashlib.sha256(text.encode()).hexdigest()}
@@ -78,7 +83,7 @@ def _digest(items) -> dict:
 def instance_digests() -> dict:
     """Count and digest of the ordered specs of every n = 5..10."""
     return {
-        str(n): _digest([spec_to_json(c[0]) for c in _candidates(n)])
+        str(n): _digest([spec_to_json(spec) for spec, _ in instances(n)])
         for n in range(5, 11)
     }
 
@@ -107,9 +112,8 @@ def produce(tmp: Path) -> dict[str, str]:
 
     prefix = tmp / "h1"
     code, out, err = run_cli("gen", *GEN_CASES["h1"], "--out", str(prefix), "--dot")
-    files["gen_out_h1.log"] = json.dumps(
-        {"code": code, "stdout": out, "stderr": err.replace(str(tmp), "<tmp>")}, indent=2
-    ) + "\n"
+    err = err.replace(str(tmp), "<tmp>")
+    files["gen_out_h1.log"] = _json({"code": code, "stdout": out, "stderr": err})
     for suffix in (".edges", ".roles.json", ".dot"):
         files[f"gen_out_h1{suffix}"] = prefix.with_suffix(suffix).read_text()
 
@@ -143,10 +147,10 @@ def produce(tmp: Path) -> dict[str, str]:
     ):
         code, out, err = run_cli(*args)
         errors[name] = {"argv": args, "code": code, "stdout": out, "stderr": err}
-    files["errors.json"] = json.dumps(errors, indent=2) + "\n"
+    files["errors.json"] = _json(errors)
 
-    files["instances.json"] = json.dumps(instance_digests(), indent=2) + "\n"
-    files["classify_corpus_9.json"] = json.dumps(classify_sweep_digest(), indent=2) + "\n"
+    files["instances.json"] = _json(instance_digests())
+    files["classify_corpus_9.json"] = _json(classify_sweep_digest())
     return files
 
 
