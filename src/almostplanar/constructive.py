@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import FalsificationError, NotInSpectrumError, UnclassifiableError
 from .families import (
+    CHORD_NAMES,
     H1,
     H2,
     Bicycle,
@@ -32,7 +33,7 @@ from .graph import Graph, is_bipartite, is_k_connected
 from .oracle import CycleSpectrum, validate_cycle, validate_path
 from .planarity import is_planar
 
-CHORDS_ALL = frozenset(("ab", "bc", "ac"))
+CHORDS_ALL = frozenset(CHORD_NAMES)
 
 Builder = Callable[[int], list[int]]
 
@@ -437,7 +438,7 @@ def k33_chain_cycle(inst: LabeledInstance, length: int) -> list[int]:
     """Cycle in K_{3,3} plus chords; odd lengths need at least one chord."""
     rv = inst.role_to_vertex
     g = inst.graph
-    present = [name for name in ("ab", "bc", "ac") if g.has_edge(rv[name[0]], rv[name[1]])]
+    present = [name for name in CHORD_NAMES if g.has_edge(rv[name[0]], rv[name[1]])]
     a, b, c = rv["a"], rv["b"], rv["c"]
     x1, y1, z1 = rv["x1"], rv["y1"], rv["z1"]
     if length == 4:
