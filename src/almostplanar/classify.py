@@ -1,18 +1,23 @@
 """Recognizer for 3-connected almost-planar graphs.
 
-Pipeline: planarity gate, 3-connectivity gate, almost-planarity gate,
-then a generate-and-match sweep over every family instance on the same
-vertex count (prefiltered by edge count and degree sequence, matched by
-exact isomorphism).  A graph that passes all three gates but matches no
-family would contradict the classification theorem for this class, so
-that case raises instead of returning quietly.
+Pipeline: planarity gate, 3-connectivity gate, then a match against the
+family instances on the same vertex count.  Those instances are grouped
+into isomorphism classes and indexed by refinement signature, so exact
+isomorphism runs once per class in the input's signature bucket, and
+the spec list of the matched class is the full list of matching specs.
+Almost-planarity is invariant under isomorphism: a matched input takes
+the verdict of its class graph, decided once and cached, and an
+unmatched input is decided on its own graph.  An unmatched graph that
+is almost-planar would contradict the classification theorem for this
+class, so that case raises instead of returning quietly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .constructive import predicted_lengths
 from .errors import FalsificationError, OracleCapError
@@ -84,17 +89,37 @@ class Classification:
         }
 
 
+@dataclass(frozen=True)
+class IsoClass:
+    """One isomorphism class of family instances: the graph of its first
+    spec and all of its specs, in match-priority order."""
+
+    graph: Graph
+    specs: tuple[FamilySpec, ...]
+
+
 @lru_cache(maxsize=None)
 def _candidates(
     n: int, include_bicycle: bool = True
-) -> tuple[tuple[FamilySpec, Graph, tuple, int], ...]:
-    """The family instances on n vertices, in match-priority order, each
-    with its refinement signature and the signature's hash."""
-    out = []
+) -> Mapping[tuple, tuple[IsoClass, ...]]:
+    """The family instances on n vertices as isomorphism classes, keyed by
+    refinement signature; classes are in the priority order of their
+    first specs.  Read-only, since every caller shares the cached index."""
+    buckets: dict[tuple, list[tuple[Graph, list[FamilySpec]]]] = {}
     for spec, g in instances(n, include_bicycle):
-        sig = refinement_signature(g)
-        out.append((spec, g, sig, hash(sig)))
-    return tuple(out)
+        bucket = buckets.setdefault(refinement_signature(g), [])
+        for rep, specs in bucket:
+            if isomorphism(rep, g) is not None:
+                specs.append(spec)
+                break
+        else:
+            bucket.append((g, [spec]))
+    return MappingProxyType(
+        {
+            sig: tuple(IsoClass(rep, tuple(specs)) for rep, specs in bucket)
+            for sig, bucket in buckets.items()
+        }
+    )
 
 
 def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
@@ -108,36 +133,37 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
         return Classification(
             GATE_NOT_3_CONNECTED, evidence=("graph is not 3-connected",)
         )
-    ev = is_almost_planar(g)
-    if not ev.verdict:
-        notes = ["graph is non-planar but not almost-planar"]
-        if ev.failing_edge is not None:
-            notes.append(
-                f"edge {ev.failing_edge} fails both deletion and contraction"
-            )
-        return Classification(GATE_NOT_ALMOST_PLANAR, evidence=tuple(notes))
 
-    sig = refinement_signature(g)
-    sig_hash = hash(sig)
     # Spoke-deleted bicycle minors keep a hub of degree >= ceil((n-2)/2)+1,
     # so lower-degree inputs skip that (large) sweep entirely.
     max_degree = g.degree_sequence()[-1] if g.n else 0
     include_bicycle = g.n <= 12 or max_degree >= (g.n - 1) // 2 + 1
-    matches: list[tuple[FamilySpec, dict[int, int]]] = []
-    for spec, cand, cand_sig, cand_hash in _candidates(g.n, include_bicycle):
-        if cand_hash != sig_hash or cand_sig != sig:
-            continue
-        mapping = isomorphism(cand, g)
-        if mapping is not None:
-            matches.append((spec, mapping))
-    if not matches:
+    matched: Optional[IsoClass] = None
+    iso_map: Optional[dict[int, int]] = None
+    for cls in _candidates(g.n, include_bicycle).get(refinement_signature(g), ()):
+        iso_map = isomorphism(cls.graph, g)
+        if iso_map is not None:
+            matched = cls
+            break
+    # Almost-planarity is invariant under isomorphism, so a match takes the
+    # cached verdict of its class graph; anything else is decided on its
+    # own labels, which the failing edge in the evidence refers to.
+    if matched is None or not is_almost_planar(matched.graph).verdict:
+        ev = is_almost_planar(g)
+        if not ev.verdict:
+            notes = ["graph is non-planar but not almost-planar"]
+            if ev.failing_edge is not None:
+                notes.append(
+                    f"edge {ev.failing_edge} fails both deletion and contraction"
+                )
+            return Classification(GATE_NOT_ALMOST_PLANAR, evidence=tuple(notes))
         raise FalsificationError(
             "3-connected almost-planar graph matched no family instance; "
             "this contradicts the classification of the class "
             f"(n={g.n}, m={g.m}, degrees={g.degree_sequence()})"
         )
 
-    matched_spec, iso_map = matches[0]
+    matched_spec = matched.specs[0]
     spectrum = predict_spectrum(matched_spec)
     assert spectrum is not None  # matched specs always carry a prediction
     predicted = Prediction(
@@ -151,6 +177,6 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
         matched_spec=matched_spec,
         iso_map=iso_map,
         predicted=predicted,
-        all_matches=tuple(spec for spec, _ in matches),
-        evidence=(f"{len(matches)} candidate instance(s) matched",),
+        all_matches=matched.specs,
+        evidence=(f"{len(matched.specs)} candidate instance(s) matched",),
     )

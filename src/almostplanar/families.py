@@ -111,13 +111,6 @@ class LabeledInstance:
     edge_roles: dict[Edge, str] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
-    def vertex(self, role: str) -> int:
-        """Look up the vertex carrying a role (roles are unique)."""
-        for v, r in self.vertex_roles.items():
-            if r == role:
-                return v
-        raise KeyError(f"no vertex with role {role!r}")
-
     @property
     def role_to_vertex(self) -> dict[str, int]:
         return {r: v for v, r in self.vertex_roles.items()}
@@ -548,16 +541,30 @@ def spec_to_json(spec: FamilySpec) -> dict:
 
 
 def spec_from_json(data: dict) -> FamilySpec:
+    """Parse the JSON form of a spec.  A missing set field is empty; any
+    other missing field, a set field that is not a list, or a value of
+    the wrong type raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a family spec must be a JSON object, got {data!r}")
     fam = data.get("family")
     family = FAMILIES.get(fam) if isinstance(fam, str) else None
     if family is None:
         raise ValueError(f"unknown family {fam!r}")
-    return family.spec_type(
-        *(
-            frozenset(map(kind, data.get(name, ()))) if is_set else kind(data[name])
-            for name, kind, is_set in family.params
-        )
-    )
+    values = []
+    for name, kind, is_set in family.params:
+        if name not in data and not is_set:
+            raise ValueError(f"{fam} spec is missing field {name!r}")
+        value = data.get(name, [])
+        if is_set and not isinstance(value, list):
+            raise ValueError(f"{fam} field {name!r} must be a list, got {value!r}")
+        for item in value if is_set else [value]:
+            # type() rather than isinstance(): a JSON true is not an int
+            if type(item) is not kind:
+                raise ValueError(
+                    f"{fam} field {name!r} needs {kind.__name__} values, got {item!r}"
+                )
+        values.append(frozenset(value) if is_set else value)
+    return family.spec_type(*values)
 
 
 def generate(spec: FamilySpec) -> LabeledInstance:

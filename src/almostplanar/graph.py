@@ -198,28 +198,42 @@ def is_bipartite(g: Graph) -> bool:
 # -- isomorphism ------------------------------------------------------------
 
 
-def _refine_colors(g: Graph) -> dict[int, tuple]:
-    """Iterated degree refinement (1-dim Weisfeiler-Leman)."""
-    colors: dict[int, tuple] = {v: (g.degree(v),) for v in g.vertices()}
+def _refine_colors(g: Graph) -> tuple[dict[int, int], tuple]:
+    """Iterated degree refinement (1-dim Weisfeiler-Leman) with int colours.
+
+    Each round keys every vertex by its colour and the sorted colours of
+    its neighbours, then renumbers the distinct keys in sorted order.  Two
+    graphs whose rounds have equal sorted key multisets get the same
+    palette in every round, so their colours are comparable.  Returns the
+    final colour of each vertex and the sorted keys of every round.
+    """
+    adj = g.adj
+    colors = {v: len(adj[v]) for v in g.vertices()}
+    distinct = len(set(colors.values()))
+    rounds = []
     for _ in range(g.n):
-        new = {
-            v: (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
+        keys = {
+            v: (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
             for v in g.vertices()
         }
-        if len(set(new.values())) == len(set(colors.values())):
-            colors = new
+        ordered = tuple(sorted(keys.values()))
+        palette = {key: i for i, key in enumerate(dict.fromkeys(ordered))}
+        rounds.append(ordered)
+        colors = {v: palette[key] for v, key in keys.items()}
+        if len(palette) == distinct:
             break
-        colors = new
-    return colors
+        distinct = len(palette)
+    return colors, tuple(rounds)
 
 
 def refinement_signature(g: Graph) -> tuple:
-    """Label-invariant signature from degree refinement.
+    """Label-invariant signature from degree refinement: n, m and the
+    sorted key multiset of every refinement round.
 
     Equal signatures are necessary (not sufficient) for isomorphism;
     used to prefilter candidate sweeps before exact matching.
     """
-    return (g.n, g.m, tuple(sorted(_refine_colors(g).values())))
+    return (g.n, g.m, _refine_colors(g)[1])
 
 
 def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[int, int]]:
@@ -232,20 +246,19 @@ def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[int, int]]:
         return None
     if g1.degree_sequence() != g2.degree_sequence():
         return None
-    c1, c2 = _refine_colors(g1), _refine_colors(g2)
-    classes1: dict[tuple, list[int]] = {}
-    classes2: dict[tuple, list[int]] = {}
+    (c1, rounds1), (c2, rounds2) = _refine_colors(g1), _refine_colors(g2)
+    if rounds1 != rounds2:
+        return None
+    classes1: dict[int, list[int]] = {}
+    classes2: dict[int, list[int]] = {}
     for v, c in c1.items():
         classes1.setdefault(c, []).append(v)
     for v, c in c2.items():
         classes2.setdefault(c, []).append(v)
-    if set(classes1) != set(classes2):
-        return None
-    if any(len(classes1[c]) != len(classes2[c]) for c in classes1):
-        return None
 
     # Map vertices in order of ascending color-class size to fail fast.
     order = sorted(g1.vertices(), key=lambda v: (len(classes1[c1[v]]), v))
+    adj1, adj2 = g1.adj, g2.adj
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -258,7 +271,7 @@ def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[int, int]]:
                 continue
             ok = True
             for v2, w2 in mapping.items():
-                if g1.has_edge(v, v2) != g2.has_edge(w, w2):
+                if (v2 in adj1[v]) != (w2 in adj2[w]):
                     ok = False
                     break
             if ok:

@@ -3,8 +3,12 @@ prints one pass/fail line.
 
 The heavy shared work is cached, so the criteria that sweep the corpus
 share one computation: the family instances on each n are built once
-by ``families.instances`` (which the classifier reuses), and the verify
-module caches the corpus up to 12 vertices and its oracle spectra.
+by ``families.instances`` (which the classifier groups into isomorphism
+classes), and the verify module caches the corpus up to 12 vertices and
+its oracle spectra.  The classifier gates on planarity and
+3-connectivity, then matches; the almost-planarity criterion therefore
+decides each isomorphism class once, through the cached verdict of the
+class graph, instead of each spec.
 """
 
 import pytest

@@ -1,7 +1,9 @@
 import importlib
 import itertools
+import random
 import re
 
+import networkx as nx
 import pytest
 
 from almostplanar.classify import (
@@ -24,9 +26,14 @@ from almostplanar.families import (
     gen_mobius,
     gen_wheel,
     generate,
+    instances,
 )
-from almostplanar.graph import Graph, are_isomorphic
+from almostplanar.graph import Graph, are_isomorphic, refinement_signature
 from almostplanar.oracle import cycle_spectrum
+from almostplanar.planarity import is_almost_planar
+
+# The package re-exports the function ``classify`` under the submodule's name.
+classify_module = importlib.import_module("almostplanar.classify")
 
 
 def test_planar_gate():
@@ -132,9 +139,117 @@ def test_classify_cap():
 
 
 def test_falsification_message_reports_degrees(monkeypatch, k33):
-    # The package re-exports the function under the submodule's name.
-    classify_module = importlib.import_module("almostplanar.classify")
-    monkeypatch.setattr(classify_module, "_candidates", lambda n, include_bicycle: ())
+    monkeypatch.setattr(classify_module, "_candidates", lambda n, include_bicycle: {})
     degrees = str(k33.degree_sequence())
     with pytest.raises(FalsificationError, match=re.escape(f"degrees={degrees}")):
         classify(k33)
+
+
+def _nx(g: Graph) -> nx.Graph:
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(g.vertices())
+    return G
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return g.relabel({v: perm[v - 1] for v in g.vertices()})
+
+
+def _networkx_classes(pairs) -> set[frozenset]:
+    """Isomorphism classes of the specs, found by networkx alone."""
+    buckets: dict[tuple, list[tuple[nx.Graph, set]]] = {}
+    for spec, g in pairs:
+        G = _nx(g)
+        invariant = (
+            tuple(sorted(d for _, d in G.degree())),
+            tuple(sorted(nx.triangles(G).values())),
+        )
+        reps = buckets.setdefault(invariant, [])
+        for H, specs in reps:
+            if nx.is_isomorphic(G, H):
+                specs.add(spec)
+                break
+        else:
+            reps.append((G, {spec}))
+    return {frozenset(specs) for reps in buckets.values() for _, specs in reps}
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_candidate_classes_are_the_isomorphism_classes(n):
+    pairs = instances(n)
+    rank = {spec: i for i, (spec, _) in enumerate(pairs)}
+    index = classify_module._candidates(n)
+    classes = [cls for bucket in index.values() for cls in bucket]
+    assert {frozenset(cls.specs) for cls in classes} == _networkx_classes(pairs)
+    for sig, bucket in index.items():
+        firsts = [rank[cls.specs[0]] for cls in bucket]
+        assert firsts == sorted(firsts)
+        for cls in bucket:
+            assert [rank[s] for s in cls.specs] == sorted(rank[s] for s in cls.specs)
+            assert cls.graph == pairs[rank[cls.specs[0]]][1]
+            assert refinement_signature(cls.graph) == sig
+
+
+@pytest.mark.parametrize("n, count", [(10, 280), (11, 661)])
+def test_distinct_signature_counts(n, count):
+    assert len(classify_module._candidates(n)) == count
+
+
+def test_decided_class_costs_one_planarity_test(monkeypatch):
+    # A class that shares its signature bucket with another class.
+    bucket = next(b for b in classify_module._candidates(9).values() if len(b) > 1)
+    cls = bucket[-1]
+    assert classify(cls.graph).gate == GATE_ALMOST_PLANAR  # decides the class
+    query = _relabelled(cls.graph, random.Random(9))
+    lr_tests = []
+    iso_calls = []
+    check_planarity = nx.check_planarity
+    isomorphism = classify_module.isomorphism
+
+    def counted_check(*args, **kwargs):
+        lr_tests.append(args)
+        return check_planarity(*args, **kwargs)
+
+    def counted_isomorphism(g1, g2):
+        iso_calls.append(g1)
+        return isomorphism(g1, g2)
+
+    monkeypatch.setattr(nx, "check_planarity", counted_check)
+    monkeypatch.setattr(classify_module, "isomorphism", counted_isomorphism)
+    res = classify(query)
+    assert res.gate == GATE_ALMOST_PLANAR
+    assert res.all_matches == cls.specs
+    assert len(lr_tests) == 1  # the planar gate; the verdict is the class's
+    assert len(iso_calls) <= len(bucket)
+    assert generate(res.matched_spec).graph.relabel(res.iso_map) == query
+
+
+def test_moved_edge_mutant_reports_its_labelled_failing_edge():
+    rng = random.Random(3)
+    pairs = instances(9)
+    while True:
+        g = _relabelled(pairs[rng.randrange(len(pairs))][1], rng)
+        drop = rng.choice(sorted(g.edges))
+        add = tuple(sorted(rng.sample(range(1, 10), 2)))
+        if add in g.edges:
+            continue
+        mutant = Graph(9, (g.edges - {drop}) | {add})
+        G = _nx(mutant)
+        if (
+            not nx.check_planarity(G)[0]
+            and nx.node_connectivity(G) >= 3
+            and not is_almost_planar(mutant).verdict
+        ):
+            break
+    res = classify(mutant)
+    assert res.gate == GATE_NOT_ALMOST_PLANAR
+    found = [re.search(r"edge \((\d+), (\d+)\) fails both", note) for note in res.evidence]
+    u, v = (int(x) for x in next(m for m in found if m).groups())
+    assert (u, v) == is_almost_planar(mutant).failing_edge
+    deleted = G.copy()
+    deleted.remove_edge(u, v)
+    contracted = nx.contracted_edge(G, (u, v), self_loops=False)
+    assert not nx.check_planarity(deleted)[0]
+    assert not nx.check_planarity(nx.Graph(contracted))[0]

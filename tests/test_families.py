@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -170,6 +171,33 @@ def test_spec_json_round_trip(spec):
     for s in specs:
         assert spec_from_json(spec_to_json(s)) == s
         assert generate(s).graph.n == family_of(s).vertex_count(s), s
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"family": "mobius"}, "missing field 'k'"),
+        ({"family": "h1", "p": 1, "q": 1}, "missing field 'r'"),
+        ({"family": "bicycle", "n": 8, "removed_s": "12"}, "'removed_s' must be a list"),
+        ({"family": "h2", "p": 1, "q": 1, "r": 1, "deleted": "ab"}, "'deleted' must be a list"),
+        ({"family": "bicycle", "n": 8, "removed_t": [1, "2"]}, "'removed_t' needs int"),
+        ({"family": "mobius", "k": "4"}, "'k' needs int"),
+        ({"family": "mobius", "k": True}, "'k' needs int"),
+        ({"family": "wheel", "n": 7.0}, "'n' needs int"),
+        ({"family": "k33chain", "extra_edges": [1]}, "'extra_edges' needs str"),
+        ({"family": "petersen"}, "unknown family"),
+        ({}, "unknown family"),
+        (["mobius", 4], "JSON object"),
+    ],
+)
+def test_spec_from_json_rejects_malformed(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json(data)
+
+
+def test_spec_from_json_missing_set_field_is_empty():
+    assert spec_from_json({"family": "bicycle", "n": 8}) == Bicycle(8)
+    assert spec_from_json({"family": "k33chain"}) == K33Chain()
 
 
 def test_generated_instances_are_almost_planar():

@@ -17,6 +17,7 @@ from almostplanar.graph import (
     is_k_connected,
     isomorphism,
     parse_edge_list,
+    refinement_signature,
     two_coloring,
 )
 
@@ -184,6 +185,36 @@ def test_isomorphism_agrees_with_networkx(g):
     H = nx.Graph(list(h.edges))
     H.add_nodes_from(h.vertices())
     assert are_isomorphic(g, h) == nx.is_isomorphic(G, H)
+
+
+@given(graphs(9), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_refinement_signature_survives_relabelling(g, rng):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    h = g.relabel({v: perm[v - 1] for v in g.vertices()})
+    assert refinement_signature(h) == refinement_signature(g)
+
+
+@given(graphs(7), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_isomorphism_of_one_edge_moved_copy_agrees_with_networkx(g, rng):
+    import networkx as nx
+
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    h = g.relabel({v: perm[v - 1] for v in g.vertices()})
+    absent = sorted(set(itertools.combinations(h.vertices(), 2)) - h.edges)
+    if h.edges and absent:
+        h = Graph(h.n, (h.edges - {rng.choice(sorted(h.edges))}) | {rng.choice(absent)})
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(g.vertices())
+    H = nx.Graph(list(h.edges))
+    H.add_nodes_from(h.vertices())
+    got = isomorphism(g, h)
+    assert (got is not None) == nx.is_isomorphic(G, H)
+    if got is not None:
+        assert g.relabel(got) == h
 
 
 def test_edge_normalization():
