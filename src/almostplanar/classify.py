@@ -7,15 +7,17 @@ isomorphism runs once per class in the input's signature bucket, and
 the spec list of the matched class is the full list of matching specs.
 Almost-planarity is invariant under isomorphism: a matched input takes
 the verdict of its class graph, decided once and cached, and an
-unmatched input is decided on its own graph.  An unmatched graph that
-is almost-planar would contradict the classification theorem for this
-class, so that case raises instead of returning quietly.
+unmatched input is decided on its own graph.  Until the index for the
+input's vertex count is built, which costs far more than deciding one
+input, the input is decided before the match instead, so a negative
+input never builds it.  An unmatched graph that is almost-planar would
+contradict the classification theorem for this class, so that case
+raises instead of returning quietly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -24,7 +26,7 @@ from .errors import FalsificationError, OracleCapError
 from .families import FamilySpec, family_of, instances, spec_to_json
 from .graph import Graph, is_k_connected, isomorphism, refinement_signature
 from .oracle import CycleSpectrum
-from .planarity import is_almost_planar, is_planar
+from .planarity import AlmostPlanarEvidence, is_almost_planar, is_planar
 
 DEFAULT_CLASSIFY_CAP = 12
 
@@ -98,13 +100,20 @@ class IsoClass:
     specs: tuple[FamilySpec, ...]
 
 
-@lru_cache(maxsize=None)
+# The built indexes, by (n, include_bicycle).
+_indexes: dict[tuple[int, bool], Mapping[tuple, tuple[IsoClass, ...]]] = {}
+
+
 def _candidates(
     n: int, include_bicycle: bool = True
 ) -> Mapping[tuple, tuple[IsoClass, ...]]:
     """The family instances on n vertices as isomorphism classes, keyed by
     refinement signature; classes are in the priority order of their
-    first specs.  Read-only, since every caller shares the cached index."""
+    first specs.  Built once per key and read-only, since every caller
+    shares it."""
+    index = _indexes.get((n, include_bicycle))
+    if index is not None:
+        return index
     buckets: dict[tuple, list[tuple[Graph, list[FamilySpec]]]] = {}
     for spec, g in instances(n, include_bicycle):
         bucket = buckets.setdefault(refinement_signature(g), [])
@@ -114,12 +123,20 @@ def _candidates(
                 break
         else:
             bucket.append((g, [spec]))
-    return MappingProxyType(
+    index = _indexes[(n, include_bicycle)] = MappingProxyType(
         {
             sig: tuple(IsoClass(rep, tuple(specs)) for rep, specs in bucket)
             for sig, bucket in buckets.items()
         }
     )
+    return index
+
+
+def _not_almost_planar(ev: AlmostPlanarEvidence) -> Classification:
+    notes = ["graph is non-planar but not almost-planar"]
+    if ev.failing_edge is not None:
+        notes.append(f"edge {ev.failing_edge} fails both deletion and contraction")
+    return Classification(GATE_NOT_ALMOST_PLANAR, evidence=tuple(notes))
 
 
 def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
@@ -138,6 +155,16 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
     # so lower-degree inputs skip that (large) sweep entirely.
     max_degree = g.degree_sequence()[-1] if g.n else 0
     include_bicycle = g.n <= 12 or max_degree >= (g.n - 1) // 2 + 1
+    # An index costs far more to build than the 2m left-right tests that
+    # decide one input (seconds at n = 12, and the bicycle sweep grows as
+    # 3^(n-2) above it), so until it is built the input is decided first
+    # and a negative input never builds it.
+    decided_first = (g.n, include_bicycle) not in _indexes
+    if decided_first:
+        ev = is_almost_planar(g)
+        if not ev.verdict:
+            return _not_almost_planar(ev)
+
     matched: Optional[IsoClass] = None
     iso_map: Optional[dict[int, int]] = None
     for cls in _candidates(g.n, include_bicycle).get(refinement_signature(g), ()):
@@ -146,17 +173,15 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
             matched = cls
             break
     # Almost-planarity is invariant under isomorphism, so a match takes the
-    # cached verdict of its class graph; anything else is decided on its
-    # own labels, which the failing edge in the evidence refers to.
-    if matched is None or not is_almost_planar(matched.graph).verdict:
+    # cached verdict of its class graph (or of the input, if decided
+    # first); anything else is decided on its own labels, which the
+    # failing edge in the evidence refers to.
+    if matched is None or not is_almost_planar(
+        g if decided_first else matched.graph
+    ).verdict:
         ev = is_almost_planar(g)
         if not ev.verdict:
-            notes = ["graph is non-planar but not almost-planar"]
-            if ev.failing_edge is not None:
-                notes.append(
-                    f"edge {ev.failing_edge} fails both deletion and contraction"
-                )
-            return Classification(GATE_NOT_ALMOST_PLANAR, evidence=tuple(notes))
+            return _not_almost_planar(ev)
         raise FalsificationError(
             "3-connected almost-planar graph matched no family instance; "
             "this contradicts the classification of the class "

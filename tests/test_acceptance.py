@@ -6,9 +6,10 @@ share one computation: the family instances on each n are built once
 by ``families.instances`` (which the classifier groups into isomorphism
 classes), and the verify module caches the corpus up to 12 vertices and
 its oracle spectra.  The classifier gates on planarity and
-3-connectivity, then matches; the almost-planarity criterion therefore
-decides each isomorphism class once, through the cached verdict of the
-class graph, instead of each spec.
+3-connectivity, then matches (deciding the input first only while the
+index for its order is not built); the almost-planarity criterion
+therefore decides each isomorphism class once, through the cached
+verdict of the class graph, instead of each spec.
 """
 
 import pytest

@@ -34,6 +34,7 @@ from almostplanar.planarity import is_almost_planar
 
 # The package re-exports the function ``classify`` under the submodule's name.
 classify_module = importlib.import_module("almostplanar.classify")
+families_module = importlib.import_module("almostplanar.families")
 
 
 def test_planar_gate():
@@ -136,6 +137,22 @@ def test_classify_cap():
         classify(gen_mobius(7).graph)  # n = 14 over the default cap
     res = classify(gen_mobius(7).graph, cap=14)
     assert res.matched_spec == Mobius(7)
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_negative_input_builds_no_index(monkeypatch, n):
+    # K_{3,n-3}: its hub degree pulls in the 3^(n-2)-pattern bicycle sweep.
+    g = Graph.from_edges(n, [(a, b) for a in range(1, 4) for b in range(4, n + 1)])
+
+    def no_index(*args):
+        raise AssertionError("index built for a negative input")
+
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    monkeypatch.setattr(classify_module, "_candidates", no_index)
+    monkeypatch.setattr(families_module, "enumerate_b_minors", no_index)
+    res = classify(g, cap=n)
+    assert res.gate == GATE_NOT_ALMOST_PLANAR
+    assert any("fails both" in note for note in res.evidence)
 
 
 def test_falsification_message_reports_degrees(monkeypatch, k33):
