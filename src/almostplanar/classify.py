@@ -5,19 +5,20 @@ family instances on the same vertex count.  Those instances are grouped
 into isomorphism classes and indexed by refinement signature, so exact
 isomorphism runs once per class in the input's signature bucket, and
 the spec list of the matched class is the full list of matching specs.
-Almost-planarity is invariant under isomorphism: a matched input takes
-the verdict of its class graph, decided once and cached, and an
-unmatched input is decided on its own graph.  Until the index for the
-input's vertex count is built, which costs far more than deciding one
-input, the input is decided before the match instead, so a negative
-input never builds it.  An unmatched graph that is almost-planar would
-contradict the classification theorem for this class, so that case
-raises instead of returning quietly.
+Almost-planarity and the prediction are invariant under isomorphism: a
+matched input takes the verdict and the prediction of its class, each
+computed once and cached, and an unmatched input is decided on its own
+graph.  Until the index for the input's vertex count is built, which
+costs far more than deciding one input, the input is decided before the
+match instead, so a negative input never builds it.  An unmatched graph
+that is almost-planar would contradict the classification theorem for
+this class, so that case raises instead of returning quietly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -98,6 +99,19 @@ class IsoClass:
 
     graph: Graph
     specs: tuple[FamilySpec, ...]
+
+    @cached_property
+    def predicted(self) -> Prediction:
+        """The prediction for every graph in the class, computed once:
+        the spectrum and 4-connectivity are isomorphism invariants."""
+        spectrum = predict_spectrum(self.specs[0])
+        assert spectrum is not None  # matched specs always carry a prediction
+        return Prediction(
+            pancyclic=spectrum.pancyclic,
+            hamiltonian=spectrum.hamiltonian,
+            hamiltonian_connected=True if is_k_connected(self.graph, 4) else None,
+            spectrum=spectrum,
+        )
 
 
 # The built indexes, by (n, include_bicycle).
@@ -188,20 +202,11 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
             f"(n={g.n}, m={g.m}, degrees={g.degree_sequence()})"
         )
 
-    matched_spec = matched.specs[0]
-    spectrum = predict_spectrum(matched_spec)
-    assert spectrum is not None  # matched specs always carry a prediction
-    predicted = Prediction(
-        pancyclic=spectrum.pancyclic,
-        hamiltonian=spectrum.hamiltonian,
-        hamiltonian_connected=True if is_k_connected(g, 4) else None,
-        spectrum=spectrum,
-    )
     return Classification(
         GATE_ALMOST_PLANAR,
-        matched_spec=matched_spec,
+        matched_spec=matched.specs[0],
         iso_map=iso_map,
-        predicted=predicted,
+        predicted=matched.predicted,
         all_matches=matched.specs,
         evidence=(f"{len(matched.specs)} candidate instance(s) matched",),
     )

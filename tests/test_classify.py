@@ -243,6 +243,25 @@ def test_decided_class_costs_one_planarity_test(monkeypatch):
     assert generate(res.matched_spec).graph.relabel(res.iso_map) == query
 
 
+def test_prediction_is_computed_once_per_class(monkeypatch):
+    b10 = gen_bicycle(10).graph
+    four_connectivity_checks = []
+    is_k_connected = classify_module.is_k_connected
+
+    def counted(g, k):
+        if k == 4:
+            four_connectivity_checks.append(g)
+        return is_k_connected(g, k)
+
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    monkeypatch.setattr(classify_module, "is_k_connected", counted)
+    first = classify(_relabelled(b10, random.Random(1)))
+    second = classify(_relabelled(b10, random.Random(2)))
+    assert first.predicted is second.predicted
+    assert first.predicted.hamiltonian_connected is True
+    assert len(four_connectivity_checks) == 1
+
+
 def test_moved_edge_mutant_reports_its_labelled_failing_edge():
     rng = random.Random(3)
     pairs = instances(9)

@@ -1,9 +1,14 @@
+import importlib
 import itertools
+import math
+import random
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from almostplanar.families import Bicycle, gen_bicycle, generate
 from almostplanar.graph import (
     Graph,
     add_edge,
@@ -20,6 +25,8 @@ from almostplanar.graph import (
     refinement_signature,
     two_coloring,
 )
+
+graph_module = importlib.import_module("almostplanar.graph")
 
 
 def cycle_graph(n: int) -> Graph:
@@ -75,11 +82,13 @@ def test_contract_renumbering_rule():
 def test_is_k_connected_examples(k5):
     assert is_k_connected(k5, 4)
     assert not is_k_connected(k5, 5)  # needs k+1 vertices
-    c6 = cycle_graph(6)
-    assert is_k_connected(c6, 2)
-    assert not is_k_connected(c6, 3)
+    # C_5000 is far deeper than the recursion limit for the DFS.
+    for n in (6, 5000):
+        c = cycle_graph(n)
+        assert is_k_connected(c, 2)
+        assert not is_k_connected(c, 3)
     with pytest.raises(ValueError):
-        is_k_connected(c6, 0)
+        is_k_connected(c, 0)
 
 
 def test_k_connectivity_is_monotone(k33):
@@ -201,3 +210,107 @@ def test_edge_normalization():
     assert edge(5, 2) == (2, 5)
     with pytest.raises(ValueError):
         edge(3, 3)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, frozenset(itertools.combinations(g.vertices(), 2)) - g.edges)
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph.from_edges(
+        g.n + h.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
+    )
+
+
+def _nx(g: Graph) -> nx.Graph:
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(g.vertices())
+    return G
+
+
+@given(
+    st.one_of(
+        graphs(9),
+        graphs(9).map(complement),
+        st.integers(1, 9).map(complete_graph),
+        st.tuples(graphs(4), graphs(5)).map(lambda gh: disjoint_union(*gh)),
+    ),
+    st.integers(1, 5),
+)
+@example(disjoint_union(complete_graph(4), complete_graph(5)), 1)
+# Only the vertex count sees the second component.
+@example(disjoint_union(complete_graph(4), complete_graph(5)), 3)
+# Two triangles at vertex 1: the only cut vertex is the root of the DFS.
+@example(Graph.from_edges(5, [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)]), 2)
+@example(complete_graph(9), 5)
+@example(complete_graph(5), 5)
+@example(complete_graph(1), 1)
+@settings(max_examples=300, deadline=None)
+def test_is_k_connected_agrees_with_networkx(g, k):
+    # Sparse and dense graphs, complete graphs, disconnected unions and
+    # n < k + 1 are all drawn.
+    kappa = nx.node_connectivity(_nx(g)) if g.n > 1 else 0
+    assert is_k_connected(g, k) == (g.n >= k + 1 and kappa >= k)
+
+
+def random_minor(rng: random.Random, n: int) -> Graph:
+    """A random non-planar bicycle minor in which every rim vertex keeps a
+    spoke and each hub keeps at least two, so it is 3-connected."""
+    while True:
+        pattern = "".join(rng.choice("BST") for _ in range(n - 2))
+        if pattern.count("T") > n - 5 or pattern.count("S") > n - 5:
+            continue
+        g = generate(
+            Bicycle(
+                n,
+                removed_s=frozenset(i + 1 for i, ch in enumerate(pattern) if ch == "T"),
+                removed_t=frozenset(i + 1 for i, ch in enumerate(pattern) if ch == "S"),
+            )
+        ).graph
+        if not nx.check_planarity(_nx(g))[0]:
+            return g
+
+
+def test_large_minor_and_planted_two_cut():
+    n = 120
+    g = random_minor(random.Random(120), n)
+    assert is_k_connected(g, 3)
+    # Rim vertices 30 and 41 cut off the arc 31..40 once its spokes are
+    # gone; chords i -- i+2 inside the arc keep every degree >= 3, so the
+    # minimum-degree shortcut does not see the cut.
+    arc = range(31, 41)
+    hubs = (n - 1, n)
+    planted = Graph.from_edges(
+        n,
+        [(u, v) for u, v in g.edges if not (u in arc and v in hubs)]
+        + [(i, i + 2) for i in range(31, 39)],
+    )
+    assert min(planted.degree(v) for v in planted.vertices()) >= 3
+    rest = _nx(planted)
+    rest.remove_nodes_from([30, 41])
+    assert nx.number_connected_components(rest) == 2
+    assert is_k_connected(planted, 2)
+    assert not is_k_connected(planted, 3)
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_dfs_passes_per_k(monkeypatch, n):
+    passes = []
+    helper = graph_module._biconnected_after_removal
+
+    def counted(g, removed):
+        passes.append(removed)
+        return helper(g, removed)
+
+    monkeypatch.setattr(graph_module, "_biconnected_after_removal", counted)
+    b = gen_bicycle(n).graph
+    assert is_k_connected(b, 3)
+    assert len(passes) == n
+    passes.clear()
+    assert is_k_connected(b, 4)
+    assert len(passes) == math.comb(n, 2)
+
