@@ -81,10 +81,10 @@ def _digest(items) -> dict:
 
 
 def instance_digests() -> dict:
-    """Count and digest of the ordered specs of every n = 5..10."""
+    """Count and digest of the ordered specs of every n = 5..12."""
     return {
         str(n): _digest([spec_to_json(spec) for spec, _ in instances(n)])
-        for n in range(5, 11)
+        for n in range(5, 13)
     }
 
 
