@@ -124,7 +124,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         report["hamiltonian"] = spec.hamiltonian
     if args.method in ("constructive", "both"):
         lengths, witnesses = _translated_constructive(
-            g, cap=args.cap or DEFAULT_CLASSIFY_CAP
+            g, cap=DEFAULT_CLASSIFY_CAP if args.cap is None else args.cap
         )
         key = "constructive_lengths" if args.method == "both" else "lengths"
         report[key] = sorted(lengths)
@@ -144,7 +144,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    result = classify(g, cap=args.cap or DEFAULT_CLASSIFY_CAP)
+    result = classify(g, cap=args.cap)
     print(json.dumps(result.to_json(), indent=2))
     return EXIT_OK
 
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="classify a graph")
     cls.add_argument("input", help="edge-list file or - for stdin")
-    cls.add_argument("--cap", type=int, default=None)
+    cls.add_argument("--cap", type=int, default=DEFAULT_CLASSIFY_CAP)
     cls.set_defaults(func=cmd_classify)
 
     ver = sub.add_parser("verify", help="run the acceptance criteria")

@@ -24,12 +24,13 @@ from .families import (
     Mobius,
     Wheel,
     a_graph_spec,
+    bicycle_is_3_connected,
     family_of,
     gen_bicycle,
     generate,
     rim_index,
 )
-from .graph import Graph, is_bipartite, is_k_connected
+from .graph import Graph, is_bipartite
 from .oracle import CycleSpectrum, validate_cycle, validate_path
 from .planarity import is_planar
 
@@ -467,10 +468,10 @@ def k33_chain_cycle(inst: LabeledInstance, length: int) -> list[int]:
 
 
 def _bicycle_lengths(spec: Bicycle) -> Optional[frozenset[int]]:
-    g = gen_bicycle(
-        spec.n, spec.removed_s, spec.removed_t, require_3_connected=False
-    ).graph
-    if not is_k_connected(g, 3) or is_planar(g):
+    if not bicycle_is_3_connected(spec):
+        return None
+    g = gen_bicycle(spec.n, spec.removed_s, spec.removed_t).graph
+    if is_planar(g):
         return None
     if is_bipartite(g):
         return frozenset(range(4, spec.n + 1, 2))

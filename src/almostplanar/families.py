@@ -21,7 +21,9 @@ vertex count and generator; :func:`generate` and the JSON round-trip
 read from it.  :func:`instances` is the one enumeration of the family
 instances on n vertices.  Cycle spectra and builders sit in one table,
 ``constructive.SPECTRA``, so adding a family touches the registry plus
-one spectral entry.
+one spectral entry.  3-connectivity is decided from the spec, never
+tested: by :func:`bicycle_is_3_connected` for a bicycle minor, by
+construction for the rest.
 
 Label conventions fixed here (and relied on everywhere else):
 
@@ -49,7 +51,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
 
-from .graph import Edge, Graph, edge, is_k_connected
+from .graph import Edge, Graph, edge
 from .planarity import is_planar
 
 # -- family specs -------------------------------------------------------------
@@ -109,7 +111,6 @@ class LabeledInstance:
     family: Optional[FamilySpec]
     vertex_roles: dict[int, str] = field(default_factory=dict)
     edge_roles: dict[Edge, str] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
 
     @property
     def role_to_vertex(self) -> dict[str, int]:
@@ -124,7 +125,8 @@ class LabeledInstance:
                 {"u": e[0], "v": e[1], "role": r}
                 for e, r in sorted(self.edge_roles.items())
             ],
-            "warnings": list(self.warnings),
+            # Every instance is 3-connected; kept empty for schema 1.
+            "warnings": [],
         }
 
     def to_dot(self) -> str:
@@ -177,18 +179,27 @@ def rim_index(n: int, i: int) -> int:
     return (i - 1) % r + 1
 
 
+def bicycle_is_3_connected(spec: Bicycle) -> bool:
+    """Whether a bicycle minor is 3-connected: no rim vertex loses both
+    spokes and each hub keeps at least two.
+
+    Necessity: a rim vertex has degree 2 plus its spokes, a hub its
+    spokes plus 1.  Sufficiency: removing two vertices leaves the rim
+    cycle (both hubs), a rim path joined to the other hub, which keeps
+    two spokes (a hub and a rim vertex), or rim arcs that all reach the
+    two adjacent hubs (two rim vertices), each connected.
+    """
+    rs, rt, keep = spec.removed_s, spec.removed_t, spec.n - 4
+    return not rs & rt and len(rs) <= keep and len(rt) <= keep
+
+
 def gen_bicycle(
     n: int,
     removed_s: Sequence[int] | frozenset[int] = (),
     removed_t: Sequence[int] | frozenset[int] = (),
-    require_3_connected: bool = True,
 ) -> LabeledInstance:
-    """Bicycle wheel B_n with optional spoke removals.
-
-    Removing both spokes at one rim vertex leaves it with degree 2; with
-    ``require_3_connected`` that is an error, otherwise the raw graph is
-    produced with a warning flag.
-    """
+    """Bicycle wheel B_n with optional spoke removals; a pattern that
+    breaks :func:`bicycle_is_3_connected` is an error."""
     if n < 5:
         raise ValueError("bicycle wheel needs n >= 5")
     rs = frozenset(removed_s)
@@ -197,15 +208,11 @@ def gen_bicycle(
     for i in rs | rt:
         if not 1 <= i <= r:
             raise ValueError(f"spoke index {i} out of range 1..{r}")
-    warnings: tuple[str, ...] = ()
-    doubly = sorted(rs & rt)
-    if doubly:
-        if require_3_connected:
-            raise ValueError(
-                f"violates 3-connectivity precondition: rim vertices {doubly} "
-                "lose both spokes"
-            )
-        warnings = (f"rim vertices {doubly} have degree 2",)
+    if not bicycle_is_3_connected(Bicycle(n, rs, rt)):
+        raise ValueError(
+            "violates 3-connectivity precondition: every rim vertex needs a "
+            "spoke and each hub two"
+        )
 
     hub_s, hub_t = n, n - 1
     vroles = {i: f"rim-{i}" for i in range(1, r + 1)}
@@ -221,14 +228,14 @@ def gen_bicycle(
             eroles[edge(hub_t, i)] = f"t{i}"
     eroles[edge(hub_s, hub_t)] = "z"
     return LabeledInstance(
-        Graph(n, frozenset(eroles)), Bicycle(n, rs, rt), vroles, eroles, warnings
+        Graph(n, frozenset(eroles)), Bicycle(n, rs, rt), vroles, eroles
     )
 
 
 def a_graph_spec(n: int) -> Bicycle:
     """Spec of A_n: keep odd-indexed s-spokes and even-indexed t-spokes."""
-    if n < 5:
-        raise ValueError("A_n needs n >= 5")
+    if n < 6:
+        raise ValueError("A_n needs n >= 6: at n = 5 the t-hub keeps one spoke")
     r = n - 2
     return Bicycle(
         n,
@@ -450,9 +457,9 @@ def _bicycle_from_pattern(n: int, state: str) -> Bicycle:
 def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
     """All 3-connected non-planar spoke-deletion specs of B_n.
 
-    Both properties are computed, not assumed.  Results are deduplicated
-    up to rim rotation, rim reflection and hub swap, and returned in a
-    stable order (fewest removals first).
+    3-connectivity from the spoke rule, non-planarity computed.  Results
+    are deduplicated up to rim rotation, rim reflection and hub swap, and
+    returned in a stable order (fewest removals first).
     """
     if n < 5:
         raise ValueError("need n >= 5")
@@ -467,8 +474,9 @@ def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
             continue
         seen |= _pattern_orbit(state)
         spec = _bicycle_from_pattern(n, state)
-        g = gen_bicycle(n, spec.removed_s, spec.removed_t).graph
-        if not is_k_connected(g, 3) or is_planar(g):
+        if not bicycle_is_3_connected(spec):
+            continue
+        if is_planar(gen_bicycle(n, spec.removed_s, spec.removed_t).graph):
             continue
         removed = len(spec.removed_s) + len(spec.removed_t)
         out.append(((removed, state), spec))
@@ -584,17 +592,25 @@ _CHORD_SUBSETS = tuple(
 
 @lru_cache(maxsize=None)
 def fan_instances(n: int) -> tuple[tuple[FamilySpec, Graph], ...]:
-    """Every 3-connected non-planar H1, then H2, instance on n vertices:
-    all fan lengths with p + q + r = n - 3 and all chord deletions."""
+    """Every H1, then H2, instance on n vertices: all fan lengths with
+    p + q + r = n - 3 and all chord deletions.
+
+    None is tested: it is K33 plus its surviving chords (3-connected)
+    with three fans, each subdividing a base edge uv (never a chord) and
+    joining the new vertices to a hub h outside {u, v}, which keeps G
+    3-connected.  Drop two old vertices and G stays connected with uv a
+    path; drop a new one and an old y and G - y - uv stays connected
+    (G - y was 2-connected), the other new vertices reaching h, or u or
+    v if y = h; drop two new ones and G - uv stays connected, the rest
+    reaching h.  The subdivided K33 keeps the graph non-planar.
+    """
     out = []
     for spec_type in (H1, H2):
         for p in range(1, n - 4):
             for q in range(1, n - 3 - p):
                 for deleted in _CHORD_SUBSETS:
                     spec = spec_type(p, q, n - 3 - p - q, deleted)
-                    g = generate(spec).graph
-                    if not is_planar(g) and is_k_connected(g, 3):
-                        out.append((spec, g))
+                    out.append((spec, generate(spec).graph))
     return tuple(out)
 
 

@@ -47,9 +47,16 @@ def test_gen_h1_writes_files(tmp_path, capsys):
 
 
 def test_gen_invalid_spec_exits_2(capsys):
-    code, _, err = run_cli(capsys, "gen", "--family", "mobius", "--k", "1")
-    assert code == 2
-    assert "k >= 3" in err
+    for argv, message in (
+        (["--family", "mobius", "--k", "1"], "k >= 3"),
+        (["--family", "bicycle", "--n", "7", "--remove-s", "2", "--remove-t", "2"],
+         "3-connectivity"),
+        (["--family", "bicycle", "--n", "7", "--remove-s", "1,2,3,4"], "3-connectivity"),
+        (["--family", "a", "--n", "5"], "n >= 6"),
+    ):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 def test_gen_roundtrip_isomorphic(tmp_path, capsys):
@@ -137,6 +144,17 @@ def test_spectrum_cap_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", str(path))
     assert code == 3
     assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["classify"], ["spectrum", "--method", "constructive"]]
+)
+def test_cap_zero_is_a_cap(tmp_path, capsys, command):
+    path = tmp_path / "b6.edges"
+    path.write_text(format_edge_list(gen_bicycle(6).graph))
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:], "--cap", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_k33(tmp_path, capsys, k33):

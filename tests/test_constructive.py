@@ -208,6 +208,9 @@ def test_predicted_lengths():
     assert predicted_lengths(Wheel(6)) == frozenset(range(3, 7))
     # no theorem covers a planar bicycle pattern: partial marker
     assert predicted_lengths(Bicycle(5, frozenset({1}), frozenset())) is None
+    # nor one that is not 3-connected
+    assert predicted_lengths(Bicycle(7, frozenset({2}), frozenset({2}))) is None
+    assert predicted_lengths(Bicycle(7, frozenset({1, 2, 3, 4}), frozenset())) is None
 
 
 def test_constructive_spectrum_matches_oracle_samples():

@@ -1,8 +1,10 @@
+import importlib
 import itertools
 import re
 
 import pytest
 
+from almostplanar.constructive import constructive_spectrum
 from almostplanar.families import (
     H1,
     H2,
@@ -12,8 +14,10 @@ from almostplanar.families import (
     Wheel,
     a_graph_spec,
     attach_fan,
+    bicycle_is_3_connected,
     enumerate_b_minors,
     family_of,
+    fan_instances,
     gen_a_graph,
     gen_bicycle,
     gen_h1,
@@ -25,9 +29,11 @@ from almostplanar.families import (
     spec_from_json,
     spec_to_json,
 )
-from almostplanar.graph import are_isomorphic, edge, is_bipartite, is_k_connected
+from almostplanar.graph import Graph, are_isomorphic, edge, is_bipartite, is_k_connected
 from almostplanar.planarity import is_almost_planar, is_planar
 from almostplanar.verify import family_corpus
+
+graph_module = importlib.import_module("almostplanar.graph")
 
 
 def test_mobius_shape():
@@ -76,9 +82,40 @@ def test_bicycle_b5_is_k5(k5):
 def test_bicycle_rejects_double_removal():
     with pytest.raises(ValueError, match="3-connectivity"):
         gen_bicycle(7, removed_s={2}, removed_t={2})
-    inst = gen_bicycle(7, removed_s={2}, removed_t={2}, require_3_connected=False)
-    assert inst.warnings
-    assert inst.graph.degree(2) == 2
+
+
+def _bicycle_edges(n: int, pattern: str) -> list[tuple[int, int]]:
+    """Edges of the bicycle minor whose rim vertex i keeps both spokes
+    (B), only the s-spoke (S), only the t-spoke (T) or none (N)."""
+    r = n - 2
+    edges = [(i, i % r + 1) for i in range(1, r + 1)] + [(n - 1, n)]
+    for i, ch in enumerate(pattern, 1):
+        if ch in "BS":
+            edges.append((i, n))
+        if ch in "BT":
+            edges.append((i, n - 1))
+    return edges
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_spoke_rule_is_3_connectivity(n):
+    for chars in itertools.product("BSTN", repeat=n - 2):
+        pattern = "".join(chars)
+        spec = Bicycle(
+            n,
+            removed_s=frozenset(i for i, ch in enumerate(pattern, 1) if ch in "TN"),
+            removed_t=frozenset(i for i, ch in enumerate(pattern, 1) if ch in "SN"),
+        )
+        g = Graph.from_edges(n, _bicycle_edges(n, pattern))
+        assert bicycle_is_3_connected(spec) == is_k_connected(g, 3), pattern
+
+
+def test_fan_instances_are_3_connected_and_non_planar():
+    specs = [item for n in range(6, 13) for item in fan_instances(n)]
+    assert len(specs) == 1344
+    for spec, g in specs:
+        assert is_k_connected(g, 3), spec
+        assert not is_planar(g), spec
 
 
 def test_a_graph_parities(k33):
@@ -90,6 +127,8 @@ def test_a_graph_parities(k33):
         assert is_bipartite(gen_a_graph(n).graph)
     for n in (7, 9):
         assert not is_bipartite(gen_a_graph(n).graph)
+    with pytest.raises(ValueError, match="n >= 6"):
+        a_graph_spec(5)
 
 
 def test_a_graph_even_coloring_classes():
@@ -236,6 +275,26 @@ def test_enumerate_b_minors_filters_hold(n):
         assert is_k_connected(g, 3)
         assert not is_planar(g)
         assert min(g.degree(v) for v in g.vertices()) >= 3
+
+
+def test_family_instances_make_no_connectivity_pass(monkeypatch):
+    passes = []
+    helper = graph_module._biconnected_after_removal
+
+    def counted(g, removed):
+        passes.append(removed)
+        return helper(g, removed)
+
+    monkeypatch.setattr(graph_module, "_biconnected_after_removal", counted)
+    assert len(enumerate_b_minors.__wrapped__(9)) == 95
+    assert fan_instances.__wrapped__(10)
+    minor = Bicycle(
+        120,
+        removed_s=frozenset(range(3, 119, 3)),
+        removed_t=frozenset(range(2, 119, 3)),
+    )
+    assert len(constructive_spectrum(minor).witnesses) == 118
+    assert passes == []
 
 
 def test_enumerate_b_minors_dedup_is_sound():
