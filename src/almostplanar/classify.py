@@ -25,9 +25,9 @@ from typing import Mapping, Optional
 from .constructive import predicted_lengths
 from .errors import FalsificationError, OracleCapError
 from .families import FamilySpec, family_of, instances, spec_to_json
-from .graph import Graph, is_k_connected, isomorphism, refinement_signature
+from .graph import Edge, Graph, is_k_connected, isomorphism, refinement_signature
 from .oracle import CycleSpectrum
-from .planarity import AlmostPlanarEvidence, is_almost_planar, is_planar
+from .planarity import almost_planar_verdict, is_planar
 
 DEFAULT_CLASSIFY_CAP = 12
 
@@ -146,10 +146,10 @@ def _candidates(
     return index
 
 
-def _not_almost_planar(ev: AlmostPlanarEvidence) -> Classification:
+def _not_almost_planar(failing_edge: Optional[Edge]) -> Classification:
     notes = ["graph is non-planar but not almost-planar"]
-    if ev.failing_edge is not None:
-        notes.append(f"edge {ev.failing_edge} fails both deletion and contraction")
+    if failing_edge is not None:
+        notes.append(f"edge {failing_edge} fails both deletion and contraction")
     return Classification(GATE_NOT_ALMOST_PLANAR, evidence=tuple(notes))
 
 
@@ -175,9 +175,9 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
     # and a negative input never builds it.
     decided_first = (g.n, include_bicycle) not in _indexes
     if decided_first:
-        ev = is_almost_planar(g)
-        if not ev.verdict:
-            return _not_almost_planar(ev)
+        verdict, failing_edge = almost_planar_verdict(g)
+        if not verdict:
+            return _not_almost_planar(failing_edge)
 
     matched: Optional[IsoClass] = None
     iso_map: Optional[dict[int, int]] = None
@@ -190,12 +190,12 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
     # cached verdict of its class graph (or of the input, if decided
     # first); anything else is decided on its own labels, which the
     # failing edge in the evidence refers to.
-    if matched is None or not is_almost_planar(
+    if matched is None or not almost_planar_verdict(
         g if decided_first else matched.graph
-    ).verdict:
-        ev = is_almost_planar(g)
-        if not ev.verdict:
-            return _not_almost_planar(ev)
+    )[0]:
+        verdict, failing_edge = almost_planar_verdict(g)
+        if not verdict:
+            return _not_almost_planar(failing_edge)
         raise FalsificationError(
             "3-connected almost-planar graph matched no family instance; "
             "this contradicts the classification of the class "

@@ -71,7 +71,7 @@ def corpus_spectra(n_max: int) -> dict[families.FamilySpec, frozenset[int]]:
 def criterion_mobius_spectra(max_n: Optional[int] = None) -> CheckResult:
     """Oracle spectra of V_2k match the predicted spectra exactly."""
     name = "mobius-spectra"
-    k_hi = (max_n // 2) if max_n else 7
+    k_hi = 7 if max_n is None else max_n // 2
     for k in range(3, k_hi + 1):
         g = families.gen_mobius(k).graph
         got = oracle.cycle_spectrum(g).lengths
@@ -91,7 +91,7 @@ def criterion_mobius_spectra(max_n: Optional[int] = None) -> CheckResult:
 def criterion_four_connected(max_n: Optional[int] = None) -> CheckResult:
     """B_n is 4-connected, pancyclic, Hamiltonian-connected; builders validate."""
     name = "four-connected-bicycle"
-    n_hi = max_n if max_n else 9
+    n_hi = 9 if max_n is None else max_n
     for n in range(5, n_hi + 1):
         inst = families.gen_bicycle(n)
         g = inst.graph
@@ -116,7 +116,7 @@ def criterion_four_connected(max_n: Optional[int] = None) -> CheckResult:
 def criterion_b_hamiltonicity(max_n: Optional[int] = None) -> CheckResult:
     """Every 3-connected non-planar bicycle minor is Hamiltonian."""
     name = "b-minor-hamiltonicity"
-    n_hi = max_n if max_n else 10
+    n_hi = 10 if max_n is None else max_n
     count = 0
     for n in range(6, n_hi + 1):
         for spec in families.enumerate_b_minors(n, cap=max(n, 12)):
@@ -135,8 +135,8 @@ def criterion_a_dichotomy(max_n: Optional[int] = None) -> CheckResult:
     """A_n: even spectra {4,6,..,n}; odd pancyclic; any spoke addition
     restores pancyclicity."""
     name = "a-family-dichotomy"
-    even_hi = max_n if max_n else 12
-    odd_hi = max_n + 1 if max_n else 13
+    even_hi = 12 if max_n is None else max_n
+    odd_hi = 13 if max_n is None else max_n + 1
     for n in range(6, even_hi + 1, 2):
         g = families.gen_a_graph(n).graph
         got = oracle.cycle_spectrum(g).lengths
@@ -167,7 +167,7 @@ def criterion_h_graphs(max_n: Optional[int] = None) -> CheckResult:
     """H graphs: pancyclic unless K33; fully-deleted builders validate."""
     name = "h-graphs"
     hi = 3
-    n_cap = max_n if max_n else 12
+    n_cap = 12 if max_n is None else max_n
     k33 = families.gen_k33_chain(()).graph
     checked = 0
     for n in range(6, min(n_cap, 3 * hi + 3) + 1):
@@ -192,7 +192,7 @@ def criterion_h_graphs(max_n: Optional[int] = None) -> CheckResult:
 def criterion_main_equivalence(max_n: Optional[int] = None) -> CheckResult:
     """Pancyclic iff a triangle exists, over the whole corpus."""
     name = "pancyclic-iff-triangle"
-    n_max = max_n if max_n else 12
+    n_max = 12 if max_n is None else max_n
     spectra = corpus_spectra(n_max)
     for spec, g in family_corpus(n_max):
         lengths = spectra[spec]
@@ -217,7 +217,7 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
     almost-planarity once per isomorphism class.
     """
     name = "almost-planarity"
-    n_max = max_n if max_n else 12
+    n_max = 12 if max_n is None else max_n
     corpus = family_corpus(n_max)
     for spec, g in corpus:
         try:
@@ -230,7 +230,7 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
         if back.relabel(cls.iso_map) != g:
             return _fail(name, f"{spec}: round-trip mismatch via {cls.matched_spec}", g)
     k6 = Graph.from_edges(6, itertools.combinations(range(1, 7), 2))
-    if planarity.is_almost_planar(k6).verdict:
+    if planarity.almost_planar_verdict(k6)[0]:
         return _fail(name, "K6 reported almost-planar", k6)
     planars = [
         families.gen_wheel(6).graph,
@@ -238,7 +238,7 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
         Graph.from_edges(3, [(1, 2), (2, 3)]),
     ]
     for g in planars:
-        if planarity.is_almost_planar(g).verdict:
+        if planarity.almost_planar_verdict(g)[0]:
             return _fail(name, "planar graph reported almost-planar", g)
     k5_iso = Graph.from_edges(6, itertools.combinations(range(1, 6), 2))
     two_k5 = Graph.from_edges(
@@ -247,7 +247,7 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
         + list(itertools.combinations(range(6, 11), 2)),
     )
     for g in (k5_iso, two_k5):
-        if planarity.is_almost_planar(g).verdict:
+        if planarity.almost_planar_verdict(g)[0]:
             return _fail(name, "disconnected graph reported almost-planar", g)
     return CheckResult(
         name, True, f"{len(corpus)} instances almost-planar; K6/planar/"
@@ -258,7 +258,7 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
 def criterion_iso_anchors(max_n: Optional[int] = None) -> CheckResult:
     """Isomorphism anchors and the contraction identity on B_n."""
     name = "isomorphism-anchors"
-    n_hi = max_n if max_n else 10
+    n_hi = 10 if max_n is None else max_n
     k33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
     k5 = Graph.from_edges(5, itertools.combinations(range(1, 6), 2))
     if not are_isomorphic(families.gen_mobius(3).graph, k33):
@@ -289,7 +289,7 @@ def criterion_iso_anchors(max_n: Optional[int] = None) -> CheckResult:
 def criterion_builder_oracle(max_n: Optional[int] = None) -> CheckResult:
     """Constructive spectra equal oracle spectra with validated witnesses."""
     name = "builder-oracle-equivalence"
-    n_max = max_n if max_n else 12
+    n_max = 12 if max_n is None else max_n
     spectra = corpus_spectra(n_max)
     count = 0
     for spec, g in family_corpus(n_max):
@@ -381,8 +381,17 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
+# The smallest max_n at which every criterion's range is non-empty: V_2k
+# needs k >= 3 and A_n needs n >= 6.
+MIN_MAX_N = 6
+
+
 def run_suite(suite: str, max_n: Optional[int] = None) -> list[CheckResult]:
+    """Run the criteria of one suite; max_n=None keeps each criterion's
+    default range."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if max_n is not None and max_n < MIN_MAX_N:
+        raise ValueError(f"max_n must be at least {MIN_MAX_N}, got {max_n}")
     by_name = dict(CRITERIA)
     return [by_name[name](max_n) for name in SUITES[suite]]

@@ -35,6 +35,7 @@ from almostplanar.planarity import is_almost_planar
 # The package re-exports the function ``classify`` under the submodule's name.
 classify_module = importlib.import_module("almostplanar.classify")
 families_module = importlib.import_module("almostplanar.families")
+planarity_module = importlib.import_module("almostplanar.planarity")
 
 
 def test_planar_gate():
@@ -214,26 +215,33 @@ def test_distinct_signature_counts(n, count):
     assert len(classify_module._candidates(n)) == count
 
 
+def _count_lr_tests(monkeypatch) -> list[int]:
+    """From here on, record the vertex count of every left-right test."""
+    calls: list[int] = []
+    lr_planar = planarity_module._lr_planar
+
+    def counted(n, adj):
+        calls.append(n)
+        return lr_planar(n, adj)
+
+    monkeypatch.setattr(planarity_module, "_lr_planar", counted)
+    return calls
+
+
 def test_decided_class_costs_one_planarity_test(monkeypatch):
     # A class that shares its signature bucket with another class.
     bucket = next(b for b in classify_module._candidates(9).values() if len(b) > 1)
     cls = bucket[-1]
     assert classify(cls.graph).gate == GATE_ALMOST_PLANAR  # decides the class
     query = _relabelled(cls.graph, random.Random(9))
-    lr_tests = []
     iso_calls = []
-    check_planarity = nx.check_planarity
     isomorphism = classify_module.isomorphism
-
-    def counted_check(*args, **kwargs):
-        lr_tests.append(args)
-        return check_planarity(*args, **kwargs)
 
     def counted_isomorphism(g1, g2):
         iso_calls.append(g1)
         return isomorphism(g1, g2)
 
-    monkeypatch.setattr(nx, "check_planarity", counted_check)
+    lr_tests = _count_lr_tests(monkeypatch)
     monkeypatch.setattr(classify_module, "isomorphism", counted_isomorphism)
     res = classify(query)
     assert res.gate == GATE_ALMOST_PLANAR
@@ -241,6 +249,22 @@ def test_decided_class_costs_one_planarity_test(monkeypatch):
     assert len(lr_tests) == 1  # the planar gate; the verdict is the class's
     assert len(iso_calls) <= len(bucket)
     assert generate(res.matched_spec).graph.relabel(res.iso_map) == query
+
+
+def test_cold_classify_b10_lr_test_count(monkeypatch):
+    for cached in (
+        planarity_module._planar_cached,
+        planarity_module.almost_planar_verdict,
+        families_module.instances,
+        families_module.enumerate_b_minors,
+    ):
+        cached.cache_clear()
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    lr_tests = _count_lr_tests(monkeypatch)
+    assert classify(gen_bicycle(10).graph).gate == GATE_ALMOST_PLANAR
+    # 17 to decide B_10 (the planar gate is the m > 3n - 6 shortcut), then
+    # 262 in the bicycle sweep of the n = 10 index
+    assert len(lr_tests) == 279
 
 
 def test_prediction_is_computed_once_per_class(monkeypatch):

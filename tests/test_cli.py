@@ -1,8 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import almostplanar
 from almostplanar import cli
 from almostplanar import verify as verify_mod
 from almostplanar.families import gen_bicycle, gen_k33_chain, gen_mobius
@@ -201,6 +206,15 @@ def test_verify_theorems_suite_small(capsys):
     assert "PASS  errata-ledger" in out
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_max_n_below_the_ranges_is_a_usage_error(capsys, max_n):
+    # 0 is a bound, not "the default ranges"; below 6 some range is empty
+    code, out, err = run_cli(capsys, "verify", "--suite", "mobius", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_verify_mutation_writes_counterexample(tmp_path, capsys, monkeypatch):
     # fault injection: a corrupted Möbius generator must fail the suite
     # and leave a counterexample file behind
@@ -252,3 +266,22 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "--family", "mobius", "--k", "3", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_import_and_classify_leave_networkx_unloaded(tmp_path):
+    # networkx is a test dependency only: the package never imports it
+    path = tmp_path / "b7.edges"
+    path.write_text(format_edge_list(gen_bicycle(7).graph))
+    script = (
+        "import sys\n"
+        "import almostplanar\n"
+        "from almostplanar import cli\n"
+        f"assert cli.main(['classify', {str(path)!r}]) == 0\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(almostplanar.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"gate": "almost-planar"' in proc.stdout
