@@ -2,17 +2,21 @@
 
 Pipeline: planarity gate, 3-connectivity gate, then a match against the
 family instances on the same vertex count.  Those instances are grouped
-into isomorphism classes and indexed by refinement signature, so exact
-isomorphism runs once per class in the input's signature bucket, and
-the spec list of the matched class is the full list of matching specs.
+into isomorphism classes and indexed by refinement signature; each class
+keeps the refinement colours of its graph, so a query is refined once
+and exact isomorphism runs once per class in its bucket, and the spec
+list of the matched class is the full list of matching specs.
 Almost-planarity and the prediction are invariant under isomorphism: a
 matched input takes the verdict and the prediction of its class, each
 computed once and cached, and an unmatched input is decided on its own
-graph.  Until the index for the input's vertex count is built, which
-costs far more than deciding one input, the input is decided before the
-match instead, so a negative input never builds it.  An unmatched graph
-that is almost-planar would contradict the classification theorem for
-this class, so that case raises instead of returning quietly.
+graph.  Once the index for the input's vertex count is built, the match
+comes first: every indexed instance is non-planar and 3-connected, so a
+match implies both gates, and only an unmatched input runs them and the
+verdict.  Until the index is built, which costs far more than deciding
+one input, the order is gates, verdict, then the index build and the
+match, so a negative input never builds it.  An unmatched graph that is
+almost-planar would contradict the classification theorem for this
+class, so that case raises instead of returning quietly.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Mapping, Optional
 from .constructive import predicted_lengths
 from .errors import FalsificationError, OracleCapError
 from .families import FamilySpec, family_of, instances, spec_to_json
-from .graph import Edge, Graph, is_k_connected, isomorphism, refinement_signature
+from .graph import Edge, Graph, _colored_isomorphism, _refine_colors, is_k_connected
 from .oracle import CycleSpectrum
 from .planarity import almost_planar_verdict, is_planar
 
@@ -95,9 +99,12 @@ class Classification:
 @dataclass(frozen=True)
 class IsoClass:
     """One isomorphism class of family instances: the graph of its first
-    spec and all of its specs, in match-priority order."""
+    spec, that graph's refinement colours, and all of the class's specs,
+    in match-priority order.  The class's refinement rounds are its
+    bucket key in the index."""
 
     graph: Graph
+    colors: Mapping[int, int]
     specs: tuple[FamilySpec, ...]
 
     @cached_property
@@ -114,36 +121,62 @@ class IsoClass:
         )
 
 
+Index = Mapping[tuple, tuple[IsoClass, ...]]
+
 # The built indexes, by (n, include_bicycle).
-_indexes: dict[tuple[int, bool], Mapping[tuple, tuple[IsoClass, ...]]] = {}
+_indexes: dict[tuple[int, bool], Index] = {}
 
 
-def _candidates(
-    n: int, include_bicycle: bool = True
-) -> Mapping[tuple, tuple[IsoClass, ...]]:
+def _candidates(n: int, include_bicycle: bool = True) -> Index:
     """The family instances on n vertices as isomorphism classes, keyed by
-    refinement signature; classes are in the priority order of their
-    first specs.  Built once per key and read-only, since every caller
-    shares it."""
+    refinement signature (n, m, rounds); classes are in the priority
+    order of their first specs.  Each instance is refined once.  Built
+    once per key and read-only, since every caller shares it."""
     index = _indexes.get((n, include_bicycle))
     if index is not None:
         return index
-    buckets: dict[tuple, list[tuple[Graph, list[FamilySpec]]]] = {}
+    buckets: dict[tuple, list[tuple[Graph, dict[int, int], list[FamilySpec]]]] = {}
     for spec, g in instances(n, include_bicycle):
-        bucket = buckets.setdefault(refinement_signature(g), [])
-        for rep, specs in bucket:
-            if isomorphism(rep, g) is not None:
+        colors, rounds = _refine_colors(g)
+        bucket = buckets.setdefault((g.n, g.m, rounds), [])
+        for rep, rep_colors, specs in bucket:
+            if _colored_isomorphism(rep, rep_colors, g, colors) is not None:
                 specs.append(spec)
                 break
         else:
-            bucket.append((g, [spec]))
+            bucket.append((g, colors, [spec]))
     index = _indexes[(n, include_bicycle)] = MappingProxyType(
         {
-            sig: tuple(IsoClass(rep, tuple(specs)) for rep, specs in bucket)
+            sig: tuple(
+                IsoClass(rep, MappingProxyType(colors), tuple(specs))
+                for rep, colors, specs in bucket
+            )
             for sig, bucket in buckets.items()
         }
     )
     return index
+
+
+def _match(index: Index, g: Graph) -> Optional[tuple[IsoClass, dict[int, int]]]:
+    """The class of g in the index and an isomorphism from its graph to
+    g, or None; g is refined once for the whole bucket."""
+    colors, rounds = _refine_colors(g)
+    for cls in index.get((g.n, g.m, rounds), ()):
+        iso_map = _colored_isomorphism(cls.graph, cls.colors, g, colors)
+        if iso_map is not None:
+            return cls, iso_map
+    return None
+
+
+def _matched(cls: IsoClass, iso_map: dict[int, int]) -> Classification:
+    return Classification(
+        GATE_ALMOST_PLANAR,
+        matched_spec=cls.specs[0],
+        iso_map=iso_map,
+        predicted=cls.predicted,
+        all_matches=cls.specs,
+        evidence=(f"{len(cls.specs)} candidate instance(s) matched",),
+    )
 
 
 def _not_almost_planar(failing_edge: Optional[Edge]) -> Classification:
@@ -158,55 +191,39 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
     if g.n > cap:
         raise OracleCapError(f"classification capped at n <= {cap}, got {g.n}")
 
+    # Spoke-deleted bicycle minors keep a hub of degree >= ceil((n-2)/2)+1,
+    # so lower-degree inputs skip that (large) sweep entirely.
+    max_degree = g.degree_sequence()[-1] if g.n else 0
+    include_bicycle = g.n <= 12 or max_degree >= (g.n - 1) // 2 + 1
+    warm = (g.n, include_bicycle) in _indexes
+    if warm:
+        # Every indexed instance is non-planar and 3-connected, so a match
+        # passes both gates, and almost-planarity is invariant under
+        # isomorphism, so it takes the cached verdict of its class graph.
+        found = _match(_candidates(g.n, include_bicycle), g)
+        if found is not None and almost_planar_verdict(found[0].graph)[0]:
+            return _matched(*found)
+
     if is_planar(g):
         return Classification(GATE_PLANAR, evidence=("graph is planar",))
     if not is_k_connected(g, 3):
         return Classification(
             GATE_NOT_3_CONNECTED, evidence=("graph is not 3-connected",)
         )
-
-    # Spoke-deleted bicycle minors keep a hub of degree >= ceil((n-2)/2)+1,
-    # so lower-degree inputs skip that (large) sweep entirely.
-    max_degree = g.degree_sequence()[-1] if g.n else 0
-    include_bicycle = g.n <= 12 or max_degree >= (g.n - 1) // 2 + 1
+    # Decided on the input's own labels, which the failing edge in the
+    # evidence refers to.
+    verdict, failing_edge = almost_planar_verdict(g)
+    if not verdict:
+        return _not_almost_planar(failing_edge)
     # An index costs far more to build than the 2m left-right tests that
-    # decide one input (seconds at n = 12, and the bicycle sweep grows as
-    # 3^(n-2) above it), so until it is built the input is decided first
-    # and a negative input never builds it.
-    decided_first = (g.n, include_bicycle) not in _indexes
-    if decided_first:
-        verdict, failing_edge = almost_planar_verdict(g)
-        if not verdict:
-            return _not_almost_planar(failing_edge)
-
-    matched: Optional[IsoClass] = None
-    iso_map: Optional[dict[int, int]] = None
-    for cls in _candidates(g.n, include_bicycle).get(refinement_signature(g), ()):
-        iso_map = isomorphism(cls.graph, g)
-        if iso_map is not None:
-            matched = cls
-            break
-    # Almost-planarity is invariant under isomorphism, so a match takes the
-    # cached verdict of its class graph (or of the input, if decided
-    # first); anything else is decided on its own labels, which the
-    # failing edge in the evidence refers to.
-    if matched is None or not almost_planar_verdict(
-        g if decided_first else matched.graph
-    )[0]:
-        verdict, failing_edge = almost_planar_verdict(g)
-        if not verdict:
-            return _not_almost_planar(failing_edge)
-        raise FalsificationError(
-            "3-connected almost-planar graph matched no family instance; "
-            "this contradicts the classification of the class "
-            f"(n={g.n}, m={g.m}, degrees={g.degree_sequence()})"
-        )
-
-    return Classification(
-        GATE_ALMOST_PLANAR,
-        matched_spec=matched.specs[0],
-        iso_map=iso_map,
-        predicted=matched.predicted,
-        all_matches=matched.specs,
-        evidence=(f"{len(matched.specs)} candidate instance(s) matched",),
+    # decided the input (seconds at n = 12, and the bicycle sweep grows as
+    # 3^(n-2) above it), so only an almost-planar input builds one.
+    if not warm:
+        found = _match(_candidates(g.n, include_bicycle), g)
+        if found is not None:
+            return _matched(*found)
+    raise FalsificationError(
+        "3-connected almost-planar graph matched no family instance; "
+        "this contradicts the classification of the class "
+        f"(n={g.n}, m={g.m}, degrees={g.degree_sequence()})"
     )

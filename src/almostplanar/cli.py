@@ -18,8 +18,15 @@ from . import verify as verify_mod
 from .classify import DEFAULT_CLASSIFY_CAP, classify
 from .constructive import constructive_spectrum
 from .errors import FalsificationError, OracleCapError, UnclassifiableError
-from .families import FAMILIES, FamilySpec, a_graph_spec, generate, graph_to_dot
-from .graph import Graph, format_edge_list, parse_edge_list
+from .families import (
+    FAMILIES,
+    FamilySpec,
+    a_graph_spec,
+    family_of,
+    generate,
+    graph_to_dot,
+)
+from .graph import Graph, check_vertex_count, format_edge_list, parse_edge_list
 from .oracle import cycle_spectrum
 
 EXIT_OK = 0
@@ -80,7 +87,10 @@ def _read_graph(source: str) -> Graph:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n is not None:
+        check_vertex_count(args.n)  # before A_n's spec builds O(n) sets
     spec = _spec_from_args(args)
+    check_vertex_count(family_of(spec).vertex_count(spec))
     inst = generate(spec)
     if args.out:
         prefix = Path(args.out)

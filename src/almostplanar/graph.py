@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 Edge = tuple[int, int]
 
@@ -269,8 +269,10 @@ def refinement_signature(g: Graph) -> tuple:
 def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[int, int]]:
     """Find a vertex bijection g1 -> g2 preserving adjacency, or None.
 
-    Backtracking over color classes from degree refinement; intended
-    for small graphs (n up to ~20).
+    Refines both graphs and, when their refinement rounds agree,
+    backtracks over the colour classes (`_colored_isomorphism`);
+    intended for small graphs (n up to ~20).  Callers that match one
+    graph against many refine each graph once and call the helper.
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
@@ -279,6 +281,16 @@ def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[int, int]]:
     (c1, rounds1), (c2, rounds2) = _refine_colors(g1), _refine_colors(g2)
     if rounds1 != rounds2:
         return None
+    return _colored_isomorphism(g1, c1, g2, c2)
+
+
+def _colored_isomorphism(
+    g1: Graph, c1: Mapping[int, int], g2: Graph, c2: Mapping[int, int]
+) -> Optional[dict[int, int]]:
+    """Backtracking search for an isomorphism g1 -> g2 that maps every
+    vertex to one of the same colour, where c1 and c2 are the
+    `_refine_colors` colourings of two graphs with equal refinement
+    rounds (so their palettes are comparable)."""
     classes1: dict[int, list[int]] = {}
     classes2: dict[int, list[int]] = {}
     for v, c in c1.items():
@@ -323,8 +335,20 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # -- edge-list text format ---------------------------------------------------
 #
 # Shared interchange format: first line "n m", then m lines "u v" with
-# 1 <= u < v <= n.  The parser rejects loops, duplicates and
-# out-of-range vertices.
+# 1 <= u < v <= n.  The parser rejects loops, duplicates, out-of-range
+# vertices and vertex counts above MAX_VERTICES.
+
+# The most vertices the edge-list parser and `gen` accept.  The exact
+# algorithms are capped far below it and the O(n) builders run at 10^4,
+# so it only stops a few header bytes from asking for unbounded output.
+MAX_VERTICES = 100_000
+
+
+def check_vertex_count(n: int) -> int:
+    """Return n, or raise ValueError when it exceeds MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    return n
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -334,7 +358,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = check_vertex_count(int(head[0])), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     seen: set[Edge] = set()

@@ -5,6 +5,8 @@ import re
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almostplanar.classify import (
     GATE_ALMOST_PLANAR,
@@ -35,6 +37,8 @@ from almostplanar.planarity import is_almost_planar
 # The package re-exports the function ``classify`` under the submodule's name.
 classify_module = importlib.import_module("almostplanar.classify")
 families_module = importlib.import_module("almostplanar.families")
+graph_module = importlib.import_module("almostplanar.graph")
+verify_module = importlib.import_module("almostplanar.verify")
 planarity_module = importlib.import_module("almostplanar.planarity")
 
 
@@ -215,40 +219,117 @@ def test_distinct_signature_counts(n, count):
     assert len(classify_module._candidates(n)) == count
 
 
-def _count_lr_tests(monkeypatch) -> list[int]:
-    """From here on, record the vertex count of every left-right test."""
-    calls: list[int] = []
-    lr_planar = planarity_module._lr_planar
+def _count_calls(monkeypatch, module, name) -> list:
+    """From here on, record the first argument of every call of
+    module.name."""
+    calls: list = []
+    original = getattr(module, name)
 
-    def counted(n, adj):
-        calls.append(n)
-        return lr_planar(n, adj)
+    def counted(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
 
-    monkeypatch.setattr(planarity_module, "_lr_planar", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_decided_class_costs_one_planarity_test(monkeypatch):
+def _count_lr_tests(monkeypatch) -> list[int]:
+    """From here on, record the vertex count of every left-right test."""
+    return _count_calls(monkeypatch, planarity_module, "_lr_planar")
+
+
+def _count_refinements(monkeypatch) -> list[Graph]:
+    """From here on, record the graph of every refinement, whether
+    classify or the graph module asks for it."""
+    calls: list[Graph] = []
+    refine = graph_module._refine_colors
+
+    def counted(g):
+        calls.append(g)
+        return refine(g)
+
+    monkeypatch.setattr(graph_module, "_refine_colors", counted)
+    monkeypatch.setattr(classify_module, "_refine_colors", counted)
+    return calls
+
+
+def test_decided_class_costs_no_planarity_test(monkeypatch):
     # A class that shares its signature bucket with another class.
     bucket = next(b for b in classify_module._candidates(9).values() if len(b) > 1)
     cls = bucket[-1]
     assert classify(cls.graph).gate == GATE_ALMOST_PLANAR  # decides the class
     query = _relabelled(cls.graph, random.Random(9))
-    iso_calls = []
-    isomorphism = classify_module.isomorphism
-
-    def counted_isomorphism(g1, g2):
-        iso_calls.append(g1)
-        return isomorphism(g1, g2)
-
+    iso_calls = _count_calls(monkeypatch, classify_module, "_colored_isomorphism")
     lr_tests = _count_lr_tests(monkeypatch)
-    monkeypatch.setattr(classify_module, "isomorphism", counted_isomorphism)
     res = classify(query)
     assert res.gate == GATE_ALMOST_PLANAR
     assert res.all_matches == cls.specs
-    assert len(lr_tests) == 1  # the planar gate; the verdict is the class's
+    # a match implies both gates, and the verdict is the class's
+    assert len(lr_tests) == 0
     assert len(iso_calls) <= len(bucket)
     assert generate(res.matched_spec).graph.relabel(res.iso_map) == query
+
+
+def test_warm_match_refines_once_and_runs_no_gate(monkeypatch):
+    g = generate(H2(2, 1, 3, frozenset({"ab"}))).graph
+    classify(g)  # builds the index and decides the class
+    query = _relabelled(g, random.Random(4))
+    lr_tests = _count_lr_tests(monkeypatch)
+    dfs_passes = _count_calls(monkeypatch, graph_module, "_biconnected_after_removal")
+    refinements = _count_refinements(monkeypatch)
+    assert classify(query).gate == GATE_ALMOST_PLANAR
+    assert (len(lr_tests), len(dfs_passes), refinements) == (0, 0, [query])
+
+
+def test_cold_index_refines_each_instance_once(monkeypatch):
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    refinements = _count_refinements(monkeypatch)
+    classify_module._candidates(9)
+    assert refinements == [g for _, g in instances(9)]
+
+
+def test_almost_planarity_criterion_op_counts(monkeypatch):
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    refinements = _count_refinements(monkeypatch)
+    dfs_passes = _count_calls(monkeypatch, graph_module, "_biconnected_after_removal")
+    queries = []
+    classify_graph = verify_module.classify_graph
+
+    def counted(g, cap):
+        before = len(refinements), len(dfs_passes)
+        result = classify_graph(g, cap=cap)
+        queries.append(
+            (g.n, len(refinements) - before[0], len(dfs_passes) - before[1])
+        )
+        return result
+
+    monkeypatch.setattr(verify_module, "classify_graph", counted)
+    assert verify_module.criterion_almost_planarity(9).passed
+    corpus = verify_module.family_corpus(9)
+    assert len(queries) == len(corpus) == 488
+    paying = {}
+    for n in range(5, 10):
+        rows = [(refined, passes) for q_n, refined, passes in queries if q_n == n]
+        # the cold query refines itself and every instance on n vertices;
+        # each warm one refines only itself
+        assert [refined for refined, _ in rows] == [len(instances(n)) + 1] + [1] * (
+            len(rows) - 1
+        )
+        paying.update({(n, i): passes for i, (_, passes) in enumerate(rows) if passes})
+    # Only the cold query of each n runs the 3-connectivity gate (n passes).
+    # The class of B_n, the one 4-connected instance, pays C(n, 2) more for
+    # its prediction when it is first matched: in the cold query for
+    # n = 5, 7, 9, in the first warm one for n = 6, 8 (after V_6 and V_8).
+    assert paying == {
+        (5, 0): 5 + 10,
+        (6, 0): 6,
+        (6, 1): 15,
+        (7, 0): 7 + 21,
+        (8, 0): 8,
+        (8, 1): 28,
+        (9, 0): 9 + 36,
+    }
+    assert (len(refinements), len(dfs_passes)) == (976, 145)
 
 
 def test_cold_classify_b10_lr_test_count(monkeypatch):
@@ -313,3 +394,53 @@ def test_moved_edge_mutant_reports_its_labelled_failing_edge():
     contracted = nx.contracted_edge(G, (u, v), self_loops=False)
     assert not nx.check_planarity(deleted)[0]
     assert not nx.check_planarity(nx.Graph(contracted))[0]
+
+
+@st.composite
+def _differential_inputs(draw) -> Graph:
+    """A relabelled family instance, a one-edge-moved mutant of one, or a
+    random sparse graph, all with n <= 9."""
+    kind = draw(st.sampled_from(["instance", "mutant", "sparse"]))
+    if kind == "sparse":
+        n = draw(st.integers(0, 9))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        chosen = draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else ()
+        return Graph(n, frozenset(chosen))
+    pool = [g for n in range(5, 10) for _, g in instances(n)]
+    g = draw(st.sampled_from(pool))
+    free = sorted(set(itertools.combinations(g.vertices(), 2)) - g.edges)
+    if kind == "mutant" and free:
+        drop = draw(st.sampled_from(g.sorted_edges()))
+        g = Graph(g.n, (g.edges - {drop}) | {draw(st.sampled_from(free))})
+    perm = draw(st.permutations(list(g.vertices())))
+    return g.relabel({v: perm[v - 1] for v in g.vertices()})
+
+
+def _classify_json(g: Graph) -> dict:
+    try:
+        return classify(g).to_json()
+    except FalsificationError as exc:
+        return {"error": str(exc)}
+
+
+@given(_differential_inputs())
+@settings(max_examples=300, deadline=None)
+def test_warm_classify_equals_cold(g):
+    built = classify_module._indexes
+    classify_module._indexes = {}
+    planarity_module._planar_cached.cache_clear()
+    planarity_module.almost_planar_verdict.cache_clear()
+    try:
+        cold = _classify_json(g)
+    finally:
+        classify_module._indexes = built
+    classify_module._candidates(g.n)
+    assert _classify_json(g) == cold
+
+    G = _nx(g)
+    if nx.check_planarity(G)[0]:
+        assert cold["gate"] == GATE_PLANAR
+    elif nx.node_connectivity(G) < 3:
+        assert cold["gate"] == GATE_NOT_3_CONNECTED
+    else:
+        assert cold.get("gate") in (GATE_ALMOST_PLANAR, GATE_NOT_ALMOST_PLANAR, None)

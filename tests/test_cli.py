@@ -11,7 +11,13 @@ import almostplanar
 from almostplanar import cli
 from almostplanar import verify as verify_mod
 from almostplanar.families import gen_bicycle, gen_k33_chain, gen_mobius
-from almostplanar.graph import Graph, are_isomorphic, format_edge_list, parse_edge_list
+from almostplanar.graph import (
+    MAX_VERTICES,
+    Graph,
+    are_isomorphic,
+    format_edge_list,
+    parse_edge_list,
+)
 
 
 def run_cli(capsys, *argv):
@@ -285,3 +291,33 @@ def test_import_and_classify_leave_networkx_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert '"gate": "almost-planar"' in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["export", "-"], "99999999999999999999 0\n"),
+        (["export", "-", "--format", "edges"], "3000000 1\n1 2\n"),
+        (["classify", "-"], f"{MAX_VERTICES + 1} 0\n"),
+        (["gen", "--family", "bicycle", "--n", "99999999999999999999"], ""),
+        (["gen", "--family", "a", "--n", "99999999999999999999"], ""),
+        (["gen", "--family", "mobius", "--k", str(MAX_VERTICES)], ""),
+        (["gen", "--family", "h1", "--p", str(MAX_VERTICES), "--q", "1", "--r", "1"], ""),
+    ],
+)
+def test_hostile_vertex_counts_end_in_bounded_time(argv, stdin):
+    env = dict(os.environ, PYTHONPATH=str(Path(almostplanar.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "almostplanar.cli", *argv],
+        input=stdin, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"limit of {MAX_VERTICES}" in proc.stderr
+
+
+def test_vertex_bound_admits_the_builder_sizes(capsys):
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    code, out, _ = run_cli(capsys, "gen", "--family", "bicycle", "--n", "10000")
+    assert code == 0
+    assert parse_edge_list(out).n == 10000

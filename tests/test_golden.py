@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from almostplanar import cli, verify
-from almostplanar.classify import classify
+from almostplanar.classify import _candidates, classify
+from almostplanar.errors import FalsificationError
 from almostplanar.families import (
     H1,
     Bicycle,
@@ -102,6 +103,37 @@ def classify_sweep_digest() -> dict:
     return _digest(rows)
 
 
+def moved_edge_mutant(g: Graph, rng: random.Random) -> Graph:
+    """g relabelled, with one edge moved to a non-edge; a complete graph
+    has nowhere to move it to, so it only loses the edge."""
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    g = g.relabel({v: perm[v - 1] for v in g.vertices()})
+    drop = rng.choice(g.sorted_edges())
+    free = [e for e in itertools.combinations(g.vertices(), 2) if e not in g.edges]
+    added = {rng.choice(free)} if free else set()
+    return Graph(g.n, (g.edges - {drop}) | added)
+
+
+def classify_mutant_digest() -> dict:
+    """classify JSON of one moved-edge mutant of every corpus instance with
+    n <= 9, each seeded by its spec, in spec order, with every index
+    already built; a FalsificationError is recorded as its message."""
+    for n in range(5, 10):
+        _candidates(n)
+    rows = []
+    for spec, g in verify.family_corpus(9):
+        key = json.dumps(spec_to_json(spec), sort_keys=True)
+        mutant = moved_edge_mutant(g, random.Random(f"moved:{key}"))
+        try:
+            result = classify(mutant).to_json()
+        except FalsificationError as exc:
+            result = {"error": str(exc)}
+        rows.append([key, format_edge_list(mutant), result])
+    rows.sort(key=lambda row: row[0])
+    return _digest(rows)
+
+
 def produce(tmp: Path) -> dict[str, str]:
     """Every golden file's expected content, keyed by file name."""
     files: dict[str, str] = {}
@@ -151,6 +183,7 @@ def produce(tmp: Path) -> dict[str, str]:
 
     files["instances.json"] = _json(instance_digests())
     files["classify_corpus_9.json"] = _json(classify_sweep_digest())
+    files["classify_mutants_9.json"] = _json(classify_mutant_digest())
     return files
 
 
