@@ -28,7 +28,9 @@ from typing import Mapping, Optional
 
 from .constructive import predicted_lengths
 from .errors import FalsificationError, OracleCapError
-from .families import FamilySpec, family_of, instances, spec_to_json
+from .families import (
+    FamilySpec, family_of, instances, spec_is_4_connected, spec_to_json
+)
 from .graph import Edge, Graph, _colored_isomorphism, _refine_colors, is_k_connected
 from .oracle import CycleSpectrum
 from .planarity import almost_planar_verdict, is_planar
@@ -109,14 +111,15 @@ class IsoClass:
 
     @cached_property
     def predicted(self) -> Prediction:
-        """The prediction for every graph in the class, computed once:
-        the spectrum and 4-connectivity are isomorphism invariants."""
+        """The prediction for every graph in the class, computed once
+        from its first spec: the spectrum and 4-connectivity are
+        isomorphism invariants."""
         spectrum = predict_spectrum(self.specs[0])
         assert spectrum is not None  # matched specs always carry a prediction
         return Prediction(
             pancyclic=spectrum.pancyclic,
             hamiltonian=spectrum.hamiltonian,
-            hamiltonian_connected=True if is_k_connected(self.graph, 4) else None,
+            hamiltonian_connected=True if spec_is_4_connected(self.specs[0]) else None,
             spectrum=spectrum,
         )
 

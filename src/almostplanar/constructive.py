@@ -23,16 +23,15 @@ from .families import (
     LabeledInstance,
     Mobius,
     Wheel,
-    a_graph_spec,
     bicycle_is_3_connected,
+    bicycle_is_bipartite,
+    bicycle_is_planar,
     family_of,
-    gen_bicycle,
     generate,
     rim_index,
 )
-from .graph import Graph, is_bipartite
+from .graph import Graph
 from .oracle import CycleSpectrum, validate_cycle, validate_path
-from .planarity import is_planar
 
 CHORDS_ALL = frozenset(CHORD_NAMES)
 
@@ -194,23 +193,23 @@ def b_graph_ham_cycle(inst: LabeledInstance) -> list[int]:
     )
 
 
-def _is_alternating_even(spec: Bicycle) -> bool:
-    return spec.n % 2 == 0 and spec == a_graph_spec(spec.n)
-
-
 def a_even_cycle(inst: LabeledInstance, length: int) -> list[int]:
-    """Even cycle in the alternating family A_n for even n."""
+    """Even cycle in a bipartite bicycle minor: A_n for even n, with
+    either hub keeping the odd-indexed spokes."""
     spec, n, hub_s, hub_t = _bicycle_parts(inst)
-    if not _is_alternating_even(spec):
-        raise ValueError("a_even_cycle needs A_n with n even")
+    if not bicycle_is_bipartite(spec):
+        raise ValueError("a_even_cycle needs A_n with n even, either hub orientation")
     if length % 2 == 1:
         raise NotInSpectrumError(f"A_{n} (n even) has only even cycles")
     if not 4 <= length <= n:
         raise NotInSpectrumError(f"A_{n} cycle length must be even in 4..{n}")
+    # The hub of the odd rim vertices opens each cycle; the other hub,
+    # of the even ones, closes the longest.
+    odd_hub, even_hub = (hub_t, hub_s) if 1 in spec.removed_s else (hub_s, hub_t)
     if length == n:
-        seq = [hub_s, 1, 2, hub_t] + list(range(n - 2, 2, -1))
+        seq = [odd_hub, 1, 2, even_hub] + list(range(n - 2, 2, -1))
     else:
-        seq = [hub_s] + list(range(1, length))
+        seq = [odd_hub] + list(range(1, length))
     return _gate_cycle(inst.graph, seq, length)
 
 
@@ -468,12 +467,9 @@ def k33_chain_cycle(inst: LabeledInstance, length: int) -> list[int]:
 
 
 def _bicycle_lengths(spec: Bicycle) -> Optional[frozenset[int]]:
-    if not bicycle_is_3_connected(spec):
+    if not bicycle_is_3_connected(spec) or bicycle_is_planar(spec):
         return None
-    g = gen_bicycle(spec.n, spec.removed_s, spec.removed_t).graph
-    if is_planar(g):
-        return None
-    if is_bipartite(g):
+    if bicycle_is_bipartite(spec):
         return frozenset(range(4, spec.n + 1, 2))
     return frozenset(range(3, spec.n + 1))
 
@@ -481,7 +477,7 @@ def _bicycle_lengths(spec: Bicycle) -> Optional[frozenset[int]]:
 def _bicycle_builder(spec: Bicycle, inst: LabeledInstance) -> Builder:
     if not spec.removed_s and not spec.removed_t:
         return partial(bicycle_cycle, inst)
-    if _is_alternating_even(spec):
+    if bicycle_is_bipartite(spec):
         return partial(a_even_cycle, inst)
 
     def build(length: int) -> list[int]:

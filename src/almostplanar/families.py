@@ -23,7 +23,12 @@ instances on n vertices.  Cycle spectra and builders sit in one table,
 ``constructive.SPECTRA``, so adding a family touches the registry plus
 one spectral entry.  3-connectivity is decided from the spec, never
 tested: by :func:`bicycle_is_3_connected` for a bicycle minor, by
-construction for the rest.
+construction for the rest.  Every other structural fact of a bicycle
+minor comes from its spoke pattern too, in O(n) and with its proof
+beside it: planarity (:func:`bicycle_is_planar`), bipartiteness
+(:func:`bicycle_is_bipartite`) and, for any family instance,
+4-connectivity (:func:`spec_is_4_connected`).  No graph is built or
+searched to learn them.
 
 Label conventions fixed here (and relied on everywhere else):
 
@@ -46,13 +51,13 @@ Label conventions fixed here (and relied on everywhere else):
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .graph import Edge, Graph, edge
-from .planarity import is_planar
 
 # -- family specs -------------------------------------------------------------
 
@@ -179,6 +184,31 @@ def rim_index(n: int, i: int) -> int:
     return (i - 1) % r + 1
 
 
+# A bicycle spec's spoke pattern is its rim word, one letter per rim
+# vertex 1..n-2: B keeps both spokes, S only the s-spoke, T only the
+# t-spoke, N neither.  Every structural fact of a minor is read from it.
+def _rim_word(spec: Bicycle) -> str:
+    """The rim word of a bicycle spec, its letter indexed by whether the
+    vertex keeps its s-spoke, then its t-spoke; a spec with n < 5 or a
+    spoke index off the rim is an error."""
+    n, rs, rt = spec.n, spec.removed_s, spec.removed_t
+    if n < 5:
+        raise ValueError("bicycle wheel needs n >= 5")
+    for i in rs | rt:
+        if not 1 <= i <= n - 2:
+            raise ValueError(f"spoke index {i} out of range 1..{n - 2}")
+    return "".join(("NT", "SB")[i not in rs][i not in rt] for i in range(1, n - 1))
+
+
+def _bicycle_from_pattern(n: int, state: str) -> Bicycle:
+    """The bicycle spec whose rim word is ``state``, over {B, S, T}."""
+    return Bicycle(
+        n,
+        removed_s=frozenset(i + 1 for i, ch in enumerate(state) if ch == "T"),
+        removed_t=frozenset(i + 1 for i, ch in enumerate(state) if ch == "S"),
+    )
+
+
 def bicycle_is_3_connected(spec: Bicycle) -> bool:
     """Whether a bicycle minor is 3-connected: no rim vertex loses both
     spokes and each hub keeps at least two.
@@ -193,6 +223,52 @@ def bicycle_is_3_connected(spec: Bicycle) -> bool:
     return not rs & rt and len(rs) <= keep and len(rt) <= keep
 
 
+def bicycle_is_planar(spec: Bicycle) -> bool:
+    """Whether a 3-connected bicycle minor is planar: some rotation of
+    its rim word reads ``S*B?T*B?``.
+
+    The rim is the cycle C = G - {s, t}, and the axle z puts both hubs
+    in one face of C.  There t lies between two consecutive spokes of
+    s, to rim vertices u and v, so it reaches only the arc of C from u
+    to v with no other s-neighbour inside: the arc's inner vertices are
+    T, u and v are B or S, and every other rim vertex is S.  Conversely
+    such a word draws with both hubs inside C, s spoking to its arc and
+    t to the rest.  Cut anywhere, the cyclic word reads
+    ``S*B?T*B?S*`` or ``T*B?S*B?T*``; squeezing each S or T run to one
+    letter keeps that test O(n).
+    """
+    squeezed = re.sub(r"([ST])\1+", r"\1", _rim_word(spec))
+    return re.fullmatch("S?B?T?B?S?|T?B?S?B?T?", squeezed) is not None
+
+
+def bicycle_is_bipartite(spec: Bicycle) -> bool:
+    """Whether a 3-connected bicycle minor is bipartite: its rim word
+    alternates S and T, which needs an even rim.  That is A_n for even
+    n, or A_n with its hubs swapped.
+
+    The axle gives the hubs different colours, so a B vertex closes a
+    triangle with them; every other rim vertex takes the colour its hub
+    lacks, and rim neighbours need different colours, so different hubs.
+    """
+    return re.fullmatch("(ST)+|(TS)+", _rim_word(spec)) is not None
+
+
+def spec_is_4_connected(spec: FamilySpec) -> bool:
+    """Whether a family instance is 4-connected: exactly when it is a
+    full B_n.
+
+    Every other instance has a vertex of degree 3, whose neighbours cut
+    it off: a Möbius ladder is cubic, a rim vertex that lost a spoke
+    keeps its two rim neighbours and one hub, a wheel's rim vertex has
+    degree 3, and x1 keeps three neighbours in the K33 chains and fan
+    families (chords join a, b, c only, and a fan replaces a base edge
+    by a path from its ends).  B_n has n >= 5 vertices, and removing any
+    three leaves a rim path (both hubs gone) or a hub joined to every
+    rim vertex left, connected either way.
+    """
+    return isinstance(spec, Bicycle) and not spec.removed_s and not spec.removed_t
+
+
 def gen_bicycle(
     n: int,
     removed_s: Sequence[int] | frozenset[int] = (),
@@ -200,48 +276,36 @@ def gen_bicycle(
 ) -> LabeledInstance:
     """Bicycle wheel B_n with optional spoke removals; a pattern that
     breaks :func:`bicycle_is_3_connected` is an error."""
-    if n < 5:
-        raise ValueError("bicycle wheel needs n >= 5")
-    rs = frozenset(removed_s)
-    rt = frozenset(removed_t)
-    r = n - 2
-    for i in rs | rt:
-        if not 1 <= i <= r:
-            raise ValueError(f"spoke index {i} out of range 1..{r}")
-    if not bicycle_is_3_connected(Bicycle(n, rs, rt)):
+    spec = Bicycle(n, frozenset(removed_s), frozenset(removed_t))
+    word = _rim_word(spec)
+    if not bicycle_is_3_connected(spec):
         raise ValueError(
             "violates 3-connectivity precondition: every rim vertex needs a "
             "spoke and each hub two"
         )
 
     hub_s, hub_t = n, n - 1
-    vroles = {i: f"rim-{i}" for i in range(1, r + 1)}
+    vroles = {i: f"rim-{i}" for i in range(1, n - 1)}
     vroles[hub_s] = "hub-s"
     vroles[hub_t] = "hub-t"
     eroles: dict[Edge, str] = {}
-    for i in range(1, r + 1):
+    for i in range(1, n - 1):
         eroles[edge(i, rim_index(n, i + 1))] = f"r{i}"
-    for i in range(1, r + 1):
-        if i not in rs:
+    for i, letter in enumerate(word, 1):
+        if letter in "BS":
             eroles[edge(hub_s, i)] = f"s{i}"
-        if i not in rt:
+        if letter in "BT":
             eroles[edge(hub_t, i)] = f"t{i}"
     eroles[edge(hub_s, hub_t)] = "z"
-    return LabeledInstance(
-        Graph(n, frozenset(eroles)), Bicycle(n, rs, rt), vroles, eroles
-    )
+    return LabeledInstance(Graph(n, frozenset(eroles)), spec, vroles, eroles)
 
 
 def a_graph_spec(n: int) -> Bicycle:
-    """Spec of A_n: keep odd-indexed s-spokes and even-indexed t-spokes."""
+    """Spec of A_n: keep odd-indexed s-spokes and even-indexed t-spokes,
+    the rim word STST..."""
     if n < 6:
         raise ValueError("A_n needs n >= 6: at n = 5 the t-hub keeps one spoke")
-    r = n - 2
-    return Bicycle(
-        n,
-        removed_s=frozenset(i for i in range(1, r + 1) if i % 2 == 0),
-        removed_t=frozenset(i for i in range(1, r + 1) if i % 2 == 1),
-    )
+    return _bicycle_from_pattern(n, ("ST" * n)[: n - 2])
 
 
 def gen_a_graph(n: int) -> LabeledInstance:
@@ -424,10 +488,8 @@ def gen_h2(
 
 # -- enumeration of bicycle minors ----------------------------------------------
 #
-# Spoke-removal patterns are encoded as strings over {B, S, T} indexed
-# by rim vertex: B keeps both spokes, S keeps only the s-spoke, T only
-# the t-spoke.  Patterns that leave a rim vertex with no spoke are
-# never 3-connected and are not enumerated.
+# The enumeration runs over rim words in {B, S, T}: a word with an N is
+# never 3-connected.
 
 _B_MINOR_CAP = 12
 
@@ -445,20 +507,12 @@ def _pattern_orbit(state: str) -> set[str]:
     return orbit
 
 
-def _bicycle_from_pattern(n: int, state: str) -> Bicycle:
-    return Bicycle(
-        n,
-        removed_s=frozenset(i + 1 for i, ch in enumerate(state) if ch == "T"),
-        removed_t=frozenset(i + 1 for i, ch in enumerate(state) if ch == "S"),
-    )
-
-
 @lru_cache(maxsize=None)
 def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
     """All 3-connected non-planar spoke-deletion specs of B_n.
 
-    3-connectivity from the spoke rule, non-planarity computed.  Results
-    are deduplicated up to rim rotation, rim reflection and hub swap, and
+    Both filters are the spoke rules, so no graph is built.  Results are
+    deduplicated up to rim rotation, rim reflection and hub swap, and
     returned in a stable order (fewest removals first).
     """
     if n < 5:
@@ -474,9 +528,7 @@ def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
             continue
         seen |= _pattern_orbit(state)
         spec = _bicycle_from_pattern(n, state)
-        if not bicycle_is_3_connected(spec):
-            continue
-        if is_planar(gen_bicycle(n, spec.removed_s, spec.removed_t).graph):
+        if not bicycle_is_3_connected(spec) or bicycle_is_planar(spec):
             continue
         removed = len(spec.removed_s) + len(spec.removed_t)
         out.append(((removed, state), spec))

@@ -316,20 +316,11 @@ def test_almost_planarity_criterion_op_counts(monkeypatch):
             len(rows) - 1
         )
         paying.update({(n, i): passes for i, (_, passes) in enumerate(rows) if passes})
-    # Only the cold query of each n runs the 3-connectivity gate (n passes).
-    # The class of B_n, the one 4-connected instance, pays C(n, 2) more for
-    # its prediction when it is first matched: in the cold query for
-    # n = 5, 7, 9, in the first warm one for n = 6, 8 (after V_6 and V_8).
-    assert paying == {
-        (5, 0): 5 + 10,
-        (6, 0): 6,
-        (6, 1): 15,
-        (7, 0): 7 + 21,
-        (8, 0): 8,
-        (8, 1): 28,
-        (9, 0): 9 + 36,
-    }
-    assert (len(refinements), len(dfs_passes)) == (976, 145)
+    # Only the cold query of each n runs a DFS pass: the 3-connectivity
+    # gate, n passes.  The prediction of the class of B_n, the one
+    # 4-connected instance, comes from its spec and runs none.
+    assert paying == {(n, 0): n for n in range(5, 10)}
+    assert (len(refinements), len(dfs_passes)) == (976, 35)
 
 
 def test_cold_classify_b10_lr_test_count(monkeypatch):
@@ -343,9 +334,9 @@ def test_cold_classify_b10_lr_test_count(monkeypatch):
     monkeypatch.setattr(classify_module, "_indexes", {})
     lr_tests = _count_lr_tests(monkeypatch)
     assert classify(gen_bicycle(10).graph).gate == GATE_ALMOST_PLANAR
-    # 17 to decide B_10 (the planar gate is the m > 3n - 6 shortcut), then
-    # 262 in the bicycle sweep of the n = 10 index
-    assert len(lr_tests) == 279
+    # 17 to decide B_10 (the planar gate is the m > 3n - 6 shortcut); the
+    # bicycle sweep of the n = 10 index reads planarity from the spoke rule
+    assert len(lr_tests) == 17
 
 
 def test_prediction_is_computed_once_per_class(monkeypatch):
@@ -360,11 +351,13 @@ def test_prediction_is_computed_once_per_class(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_indexes", {})
     monkeypatch.setattr(classify_module, "is_k_connected", counted)
+    monkeypatch.setattr(graph_module, "is_k_connected", counted)
     first = classify(_relabelled(b10, random.Random(1)))
     second = classify(_relabelled(b10, random.Random(2)))
     assert first.predicted is second.predicted
     assert first.predicted.hamiltonian_connected is True
-    assert len(four_connectivity_checks) == 1
+    # 4-connectivity comes from the spec rule, never from a graph test
+    assert four_connectivity_checks == []
 
 
 def test_moved_edge_mutant_reports_its_labelled_failing_edge():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -6,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import almostplanar
 from almostplanar import cli
 from almostplanar import verify as verify_mod
+from almostplanar.classify import DEFAULT_CLASSIFY_CAP
 from almostplanar.families import gen_bicycle, gen_k33_chain, gen_mobius
 from almostplanar.graph import (
     MAX_VERTICES,
@@ -18,6 +23,7 @@ from almostplanar.graph import (
     format_edge_list,
     parse_edge_list,
 )
+from almostplanar.oracle import oracle_cap
 
 
 def run_cli(capsys, *argv):
@@ -321,3 +327,74 @@ def test_vertex_bound_admits_the_builder_sizes(capsys):
     code, out, _ = run_cli(capsys, "gen", "--family", "bicycle", "--n", "10000")
     assert code == 0
     assert parse_edge_list(out).n == 10000
+
+
+# Tokens of fuzzed edge lists: mostly small vertex numbers, plus counts
+# around the caps and the vertex bound, and malformed numbers.
+_TOKENS = st.one_of(
+    st.integers(-2, 10).map(str),
+    st.sampled_from(
+        ["13", "19", str(MAX_VERTICES), str(MAX_VERTICES + 1), "9" * 40]
+        + ["x", "1.5", "-", "0x3"]
+    ),
+)
+
+
+@st.composite
+def _edge_list_texts(draw) -> str:
+    """Text shaped like an edge list: a header line and up to 12 more
+    lines of one to three tokens, the header's edge count often right."""
+    line = st.lists(_TOKENS, min_size=1, max_size=3)
+    lines = draw(st.lists(line, min_size=1, max_size=13))
+    if draw(st.booleans()):
+        lines[0] = [lines[0][0], str(len(lines) - 1)]
+    sep = draw(st.sampled_from(["\n", "\r\n", "\n \n"]))
+    return sep.join(" ".join(tokens) for tokens in lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse_or_none(text: str):
+    try:
+        return parse_edge_list(text)
+    except ValueError:
+        return None
+
+
+@given(st.one_of(_edge_list_texts(), st.text(max_size=60)))
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_edge_list_parses_to_a_graph_or_a_value_error(text):
+    g = _parse_or_none(text)
+    if g is not None:
+        assert g.n <= MAX_VERTICES
+        assert parse_edge_list(format_edge_list(g)) == g
+
+
+def _main_on_stdin(argv: list[str], text: str) -> tuple[int, str, str]:
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_edge_list_texts())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_edge_list_cli_runs_end_in_a_result_or_one_error_line(text):
+    g = _parse_or_none(text)
+    # each command with the vertex cap that may end it in exit 3
+    for argv, cap in (
+        (["classify", "-"], DEFAULT_CLASSIFY_CAP),
+        (["spectrum", "-"], oracle_cap()),
+        (["export", "-"], None),
+    ):
+        code, out, err = _main_on_stdin(argv, text)
+        if code == 0:
+            assert g is not None and out and not err, argv
+            continue
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        if g is None:
+            assert code == 2, argv
+        else:
+            assert code == 3 and cap is not None and g.n > cap, argv

@@ -27,6 +27,7 @@ from almostplanar.families import (
     Mobius,
     Wheel,
     a_graph_spec,
+    bicycle_is_3_connected,
     enumerate_b_minors,
     gen_a_graph,
     gen_bicycle,
@@ -38,6 +39,7 @@ from almostplanar.families import (
     generate,
 )
 from almostplanar.oracle import cycle_spectrum, validate_cycle, validate_path
+from almostplanar.planarity import is_planar
 
 ALL_CHORDS = ("ab", "bc", "ac")
 
@@ -115,6 +117,10 @@ def test_a_even_cycle():
         a_even_cycle(inst, 5)
     with pytest.raises(ValueError):
         a_even_cycle(gen_a_graph(7), 4)  # odd n is not this builder's case
+    # A_8 with its hubs swapped: the t-hub keeps the odd spokes
+    swapped = gen_bicycle(8, removed_s={1, 3, 5}, removed_t={2, 4, 6})
+    assert a_even_cycle(swapped, 4) == [7, 1, 2, 3]
+    assert a_even_cycle(swapped, 8) == [7, 1, 2, 8, 6, 5, 4, 3]
 
 
 def test_a_even_cycle_hamiltonian_form():
@@ -233,6 +239,30 @@ def test_constructive_spectrum_matches_oracle_samples():
         assert built.lengths == cycle_spectrum(g).lengths, spec
         for length, seq in built.witnesses.items():
             assert validate_cycle(g, seq, length)
+
+
+def test_constructive_spectrum_matches_oracle_on_every_spoke_pattern():
+    # Every 3-connected non-planar pattern, not one per orbit: the
+    # hub-swapped A_n, for one, is no orbit's representative.
+    checked = 0
+    for n in range(5, 9):
+        for pattern in itertools.product("BST", repeat=n - 2):
+            spec = Bicycle(
+                n,
+                removed_s=frozenset(i for i, ch in enumerate(pattern, 1) if ch == "T"),
+                removed_t=frozenset(i for i, ch in enumerate(pattern, 1) if ch == "S"),
+            )
+            if not bicycle_is_3_connected(spec):
+                continue
+            g = generate(spec).graph
+            if is_planar(g):
+                continue
+            built = constructive_spectrum(spec)
+            assert built.lengths == cycle_spectrum(g).lengths, pattern
+            for length, seq in built.witnesses.items():
+                assert validate_cycle(g, seq, length)
+            checked += 1
+    assert checked == 800
 
 
 def test_constructive_spectrum_rejects_uncovered_spec():

@@ -1,10 +1,11 @@
 import importlib
 import itertools
 import re
+import time
 
 import pytest
 
-from almostplanar.constructive import constructive_spectrum
+from almostplanar.constructive import constructive_spectrum, predicted_lengths
 from almostplanar.families import (
     H1,
     H2,
@@ -15,6 +16,8 @@ from almostplanar.families import (
     a_graph_spec,
     attach_fan,
     bicycle_is_3_connected,
+    bicycle_is_bipartite,
+    bicycle_is_planar,
     enumerate_b_minors,
     family_of,
     fan_instances,
@@ -26,7 +29,9 @@ from almostplanar.families import (
     gen_mobius,
     gen_wheel,
     generate,
+    instances,
     spec_from_json,
+    spec_is_4_connected,
     spec_to_json,
 )
 from almostplanar.graph import Graph, are_isomorphic, edge, is_bipartite, is_k_connected
@@ -34,6 +39,7 @@ from almostplanar.planarity import is_almost_planar, is_planar
 from almostplanar.verify import family_corpus
 
 graph_module = importlib.import_module("almostplanar.graph")
+planarity_module = importlib.import_module("almostplanar.planarity")
 
 
 def test_mobius_shape():
@@ -99,6 +105,8 @@ def _bicycle_edges(n: int, pattern: str) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("n", range(5, 10))
 def test_spoke_rule_is_3_connectivity(n):
+    # ... and, on the 3-connected patterns, the planarity and
+    # bipartiteness rules, each against a test on the graph
     for chars in itertools.product("BSTN", repeat=n - 2):
         pattern = "".join(chars)
         spec = Bicycle(
@@ -108,6 +116,9 @@ def test_spoke_rule_is_3_connectivity(n):
         )
         g = Graph.from_edges(n, _bicycle_edges(n, pattern))
         assert bicycle_is_3_connected(spec) == is_k_connected(g, 3), pattern
+        if bicycle_is_3_connected(spec):
+            assert bicycle_is_planar(spec) == is_planar(g), pattern
+            assert bicycle_is_bipartite(spec) == is_bipartite(g), pattern
 
 
 def test_fan_instances_are_3_connected_and_non_planar():
@@ -286,6 +297,14 @@ def test_family_instances_make_no_connectivity_pass(monkeypatch):
         return helper(g, removed)
 
     monkeypatch.setattr(graph_module, "_biconnected_after_removal", counted)
+    lr_tests = []
+    lr_planar = planarity_module._lr_planar
+
+    def counted_lr(n, adj):
+        lr_tests.append(n)
+        return lr_planar(n, adj)
+
+    monkeypatch.setattr(planarity_module, "_lr_planar", counted_lr)
     assert len(enumerate_b_minors.__wrapped__(9)) == 95
     assert fan_instances.__wrapped__(10)
     minor = Bicycle(
@@ -294,7 +313,21 @@ def test_family_instances_make_no_connectivity_pass(monkeypatch):
         removed_t=frozenset(range(2, 119, 3)),
     )
     assert len(constructive_spectrum(minor).witnesses) == 118
-    assert passes == []
+    assert passes == [] and lr_tests == []
+
+
+def test_bicycle_rules_are_linear_time():
+    # full B_n and A_n at the vertex bound: no graph, no search
+    t0 = time.perf_counter()
+    assert len(predicted_lengths(Bicycle(100_000))) == 100_000 - 2
+    assert len(predicted_lengths(a_graph_spec(100_000))) == 100_000 // 2 - 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_spec_rule_is_4_connectivity():
+    for n in range(5, 10):
+        for spec, g in instances(n):
+            assert spec_is_4_connected(spec) == is_k_connected(g, 4), spec
 
 
 def test_enumerate_b_minors_dedup_is_sound():
