@@ -17,5 +17,5 @@ class FalsificationError(RuntimeError):
     """A computation contradicted a theorem-level guarantee.
 
     Raised instead of silently swallowing an inconsistency, e.g. a
-    3-connected almost-planar graph that matches no known family.
+    constructive builder emitting a sequence the validator rejects.
     """

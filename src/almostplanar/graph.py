@@ -352,11 +352,16 @@ def check_vertex_count(n: int) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
+    # Numbers are ASCII digits only: int() would also take "1_0", "+1"
+    # and other scripts' digits.  str.isascii is O(1) in CPython, and an
+    # ASCII string is isdigit() exactly when it is all of 0-9.
+    if not text.isascii():
+        raise ValueError("edge-list input has a non-ASCII character")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
     head = lines[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not (head[0].isdigit() and head[1].isdigit()):
         raise ValueError(f"header must be 'n m', got {lines[0]!r}")
     n, m = check_vertex_count(int(head[0])), int(head[1])
     if len(lines) - 1 != m:
@@ -364,7 +369,7 @@ def parse_edge_list(text: str) -> Graph:
     seen: set[Edge] = set()
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
             raise ValueError(f"malformed edge line {ln!r}")
         u, v = int(parts[0]), int(parts[1])
         if u == v:

@@ -1,8 +1,13 @@
 """Brute-force ground truth for cycle structure.
 
 Everything here is exhaustive search, deliberately independent of the
-constructive builders: per-length cycle search with distance pruning,
-Hamiltonian cycle and Hamiltonian path search over all vertex pairs.
+constructive builders.  One pruned backtracking search answers every
+question: the first simple path of a given vertex count between two
+vertices, in sorted-neighbour order, cut wherever the end is farther
+away than the vertices still to add.  A cycle of each length is that
+path from its smallest vertex back to itself through larger vertices
+only; a Hamiltonian path is that path over all n vertices.  Each public
+call builds the sorted adjacency and the distance table once.
 Instances are capped at desk scale (default 18 vertices, overridable
 via the APK_ORACLE_CAP environment variable).
 """
@@ -18,20 +23,14 @@ from .graph import Graph
 
 DEFAULT_CAP = 18
 
+Tables = tuple[list[list[int]], list[list[int]]]
+
 
 def oracle_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("APK_ORACLE_CAP")
     return int(env) if env else DEFAULT_CAP
-
-
-def _check_cap(g: Graph, cap: Optional[int]) -> None:
-    limit = oracle_cap(cap)
-    if g.n > limit:
-        raise OracleCapError(
-            f"instance too large for oracle: n={g.n} > cap {limit}"
-        )
 
 
 def _distances(g: Graph) -> list[list[int]]:
@@ -55,43 +54,63 @@ def _distances(g: Graph) -> list[list[int]]:
     return dist
 
 
-def _cycle_of_length(
-    g: Graph, length: int, dist: list[list[int]]
+def _tables(g: Graph, cap: Optional[int]) -> Tables:
+    """Check the cap, then build the sorted adjacency lists (indexed by
+    vertex) and the distance table that every search of one call shares."""
+    limit = oracle_cap(cap)
+    if g.n > limit:
+        raise OracleCapError(
+            f"instance too large for oracle: n={g.n} > cap {limit}"
+        )
+    return [[]] + [sorted(g.adj[v]) for v in g.vertices()], _distances(g)
+
+
+def _path(
+    tables: Tables, start: int, end: int, count: int, floor: int
 ) -> Optional[list[int]]:
-    """Find one simple cycle of exactly the given length, if any.
+    """The first simple path of `count` vertices from start to end, in
+    sorted-neighbour order, that visits end only last and no other
+    vertex <= floor; None if there is none.
+
+    start == end with count >= 4 asks for a cycle through start.  A
+    branch is cut when its vertex is farther from end than the number of
+    vertices still to add.
+    """
+    adj, dist = tables
+    to_end = dist[end]  # distances are symmetric
+    path = [start]
+    on_path = [False] * len(adj)
+    on_path[start] = True
+
+    def rec(w: int) -> bool:
+        left = count - len(path)
+        for x in adj[w]:
+            if x == end:
+                if left == 1:
+                    path.append(x)
+                    return True
+            elif x > floor and not on_path[x] and to_end[x] < left:
+                on_path[x] = True
+                path.append(x)
+                if rec(x):
+                    return True
+                path.pop()
+                on_path[x] = False
+        return False
+
+    return path if rec(start) else None
+
+
+def _cycle_of_length(tables: Tables, length: int) -> Optional[list[int]]:
+    """One simple cycle of exactly the given length, or None.
 
     Canonical search: the cycle is rooted at its smallest vertex, so
     each cycle is explored once up to rotation and direction.
     """
-    adj = {v: sorted(g.adj[v]) for v in g.vertices()}
-    on_path = [False] * (g.n + 1)
-
-    def rec(path: list[int], v: int, s: int) -> Optional[list[int]]:
-        remaining = length - len(path)
-        if remaining == 0:
-            return list(path) if s in g.adj[v] else None
-        for w in adj[v]:
-            if w <= s or on_path[w]:
-                continue
-            if dist[w][s] > remaining:
-                continue
-            on_path[w] = True
-            path.append(w)
-            got = rec(path, w, s)
-            path.pop()
-            on_path[w] = False
-            if got is not None:
-                return got
-        return None
-
-    for s in g.vertices():
-        if len(adj[s]) < 2:
-            continue
-        on_path[s] = True
-        got = rec([s], s, s)
-        on_path[s] = False
-        if got is not None:
-            return got
+    for s in range(1, len(tables[0])):
+        closed = _path(tables, s, s, length + 1, s)
+        if closed is not None:
+            return closed[:-1]
     return None
 
 
@@ -130,34 +149,27 @@ def cycle_spectrum(
     g: Graph, witnesses: bool = False, cap: Optional[int] = None
 ) -> CycleSpectrum:
     """Exhaustive cycle spectrum over lengths 3..n."""
-    _check_cap(g, cap)
-    dist = _distances(g)
-    lengths = set()
+    tables = _tables(g, cap)
     found: dict[int, list[int]] = {}
     for length in range(3, g.n + 1):
-        cyc = _cycle_of_length(g, length, dist)
+        cyc = _cycle_of_length(tables, length)
         if cyc is not None:
-            lengths.add(length)
-            if witnesses:
-                found[length] = cyc
-    return CycleSpectrum(g.n, frozenset(lengths), found if witnesses else None)
+            found[length] = cyc
+    return CycleSpectrum(g.n, frozenset(found), found if witnesses else None)
 
 
 def is_pancyclic(g: Graph, cap: Optional[int] = None) -> bool:
     """True iff cycles of every length 3..n exist."""
-    _check_cap(g, cap)
-    dist = _distances(g)
-    for length in range(3, g.n + 1):
-        if _cycle_of_length(g, length, dist) is None:
-            return False
-    return True
+    tables = _tables(g, cap)
+    return all(
+        _cycle_of_length(tables, length) is not None
+        for length in range(3, g.n + 1)
+    )
 
 
 def hamiltonian_cycle(g: Graph, cap: Optional[int] = None) -> Optional[list[int]]:
-    _check_cap(g, cap)
-    if g.n < 3:
-        return None
-    return _cycle_of_length(g, g.n, _distances(g))
+    tables = _tables(g, cap)
+    return _cycle_of_length(tables, g.n) if g.n >= 3 else None
 
 
 def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
@@ -168,33 +180,13 @@ def hamiltonian_path(
     g: Graph, u: int, v: int, cap: Optional[int] = None
 ) -> Optional[list[int]]:
     """A spanning path from u to v, or None."""
-    _check_cap(g, cap)
+    tables = _tables(g, cap)
     if u == v:
         raise ValueError("endpoints must differ")
-    dist = _distances(g)
-    adj = {w: sorted(g.adj[w]) for w in g.vertices()}
-    on_path = [False] * (g.n + 1)
-    on_path[u] = True
-
-    def rec(path: list[int], w: int) -> Optional[list[int]]:
-        remaining = g.n - len(path)
-        if remaining == 0:
-            return list(path) if w == v else None
-        if dist[w][v] > remaining:
-            return None
-        for x in adj[w]:
-            if on_path[x] or (x == v and remaining > 1):
-                continue
-            on_path[x] = True
-            path.append(x)
-            got = rec(path, x)
-            path.pop()
-            on_path[x] = False
-            if got is not None:
-                return got
-        return None
-
-    return rec([u], u)
+    for w in (u, v):
+        if not 1 <= w <= g.n:
+            raise ValueError(f"vertex {w} out of range")
+    return _path(tables, u, v, g.n, 0)
 
 
 def hamiltonian_connectivity(
@@ -204,10 +196,10 @@ def hamiltonian_connectivity(
 
     Returns (True, None) or (False, first failing pair).
     """
-    _check_cap(g, cap)
+    tables = _tables(g, cap)
     for u in g.vertices():
         for v in range(u + 1, g.n + 1):
-            if hamiltonian_path(g, u, v, cap) is None:
+            if _path(tables, u, v, g.n, 0) is None:
                 return False, (u, v)
     return True, None
 

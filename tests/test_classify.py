@@ -13,10 +13,11 @@ from almostplanar.classify import (
     GATE_NOT_3_CONNECTED,
     GATE_NOT_ALMOST_PLANAR,
     GATE_PLANAR,
+    Classification,
     classify,
     predict_spectrum,
 )
-from almostplanar.errors import FalsificationError, OracleCapError
+from almostplanar.errors import OracleCapError
 from almostplanar.families import (
     H1,
     H2,
@@ -160,11 +161,44 @@ def test_negative_input_builds_no_index(monkeypatch, n):
     assert any("fails both" in note for note in res.evidence)
 
 
-def test_falsification_message_reports_degrees(monkeypatch, k33):
-    monkeypatch.setattr(classify_module, "_candidates", lambda n, include_bicycle: {})
-    degrees = str(k33.degree_sequence())
-    with pytest.raises(FalsificationError, match=re.escape(f"degrees={degrees}")):
-        classify(k33)
+# A 3-connected almost-planar graph on 7 vertices that no family instance
+# matches: the registry misses 3 of the 20 classes on 7 vertices.
+UNMATCHED_7 = Graph.from_edges(7, [
+    (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 6), (2, 7),
+    (3, 5), (3, 6), (4, 5), (4, 6), (5, 7),
+])
+
+
+def test_unmatched_almost_planar_graph_gets_a_null_spec(monkeypatch):
+    G = _nx(UNMATCHED_7)
+    assert not nx.check_planarity(G)[0] and nx.node_connectivity(G) >= 3
+    for e in G.edges:
+        deleted = G.copy()
+        deleted.remove_edge(*e)
+        contracted = nx.contracted_edge(G, e, self_loops=False)
+        assert nx.check_planarity(deleted)[0] or nx.check_planarity(nx.Graph(contracted))[0]
+
+    want = {
+        "schema": 1,
+        "gate": GATE_ALMOST_PLANAR,
+        "spec": None,
+        "iso_map": None,
+        "predicted": None,
+        "all_matches": [],
+        "evidence": ["no family instance on 7 vertices matched"],
+    }
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    assert classify(UNMATCHED_7).to_json() == want  # cold: builds the index
+    assert list(classify_module._indexes) == [(7, True)]
+    assert classify(UNMATCHED_7).to_json() == want  # warm
+
+
+def test_almost_planarity_criterion_fails_on_a_null_spec(monkeypatch):
+    monkeypatch.setattr(
+        verify_module, "classify_graph", lambda g, cap: Classification(GATE_ALMOST_PLANAR)
+    )
+    res = verify_module.criterion_almost_planarity(5)
+    assert not res.passed and "matched no family instance" in res.detail
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -409,13 +443,6 @@ def _differential_inputs(draw) -> Graph:
     return g.relabel({v: perm[v - 1] for v in g.vertices()})
 
 
-def _classify_json(g: Graph) -> dict:
-    try:
-        return classify(g).to_json()
-    except FalsificationError as exc:
-        return {"error": str(exc)}
-
-
 @given(_differential_inputs())
 @settings(max_examples=300, deadline=None)
 def test_warm_classify_equals_cold(g):
@@ -424,11 +451,11 @@ def test_warm_classify_equals_cold(g):
     planarity_module._planar_cached.cache_clear()
     planarity_module.almost_planar_verdict.cache_clear()
     try:
-        cold = _classify_json(g)
+        cold = classify(g).to_json()
     finally:
         classify_module._indexes = built
     classify_module._candidates(g.n)
-    assert _classify_json(g) == cold
+    assert classify(g).to_json() == cold
 
     G = _nx(g)
     if nx.check_planarity(G)[0]:
@@ -436,4 +463,4 @@ def test_warm_classify_equals_cold(g):
     elif nx.node_connectivity(G) < 3:
         assert cold["gate"] == GATE_NOT_3_CONNECTED
     else:
-        assert cold.get("gate") in (GATE_ALMOST_PLANAR, GATE_NOT_ALMOST_PLANAR, None)
+        assert cold["gate"] in (GATE_ALMOST_PLANAR, GATE_NOT_ALMOST_PLANAR)

@@ -194,6 +194,16 @@ def test_classify_k6(tmp_path, capsys, k6):
     assert data["gate"] == "not-almost-planar"
 
 
+def test_classify_unmatched_almost_planar_graph_exits_0(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("7 13\n1 4\n1 5\n1 6\n1 7\n2 3\n2 4\n2 6\n2 7\n3 5\n3 6\n4 5\n4 6\n5 7\n")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["gate"] == "almost-planar"
+    assert data["spec"] is None and data["predicted"] is None
+
+
 def test_export_dot(tmp_path, capsys, k4):
     path = tmp_path / "k4.edges"
     path.write_text(format_edge_list(k4))
@@ -335,7 +345,7 @@ _TOKENS = st.one_of(
     st.integers(-2, 10).map(str),
     st.sampled_from(
         ["13", "19", str(MAX_VERTICES), str(MAX_VERTICES + 1), "9" * 40]
-        + ["x", "1.5", "-", "0x3"]
+        + ["x", "1.5", "-", "0x3", "1_0", "+1", "\u0662", "\uff12"]
     ),
 )
 
@@ -365,6 +375,7 @@ def test_fuzzed_edge_list_parses_to_a_graph_or_a_value_error(text):
     g = _parse_or_none(text)
     if g is not None:
         assert g.n <= MAX_VERTICES
+        assert all(tok.isascii() and tok.isdigit() for tok in text.split())
         assert parse_edge_list(format_edge_list(g)) == g
 
 

@@ -141,6 +141,13 @@ def test_edge_list_round_trip(k33):
         "2 1\n1 3\n",
         "3 2\n1 2\n1 2\n",
         "3 1\n1 2\n2 3\n",
+        # only ASCII digits spell a number
+        "1_0 1\n+1 \u0662\n",
+        "12 1\n1_0 2\n",
+        "3 1\n+1 2\n",
+        "3 1\n1 \uff12\n",
+        "3 1\n1 \u0662\n",
+        "+3 0\n",
     ],
 )
 def test_edge_list_rejects(bad):

@@ -1,9 +1,11 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almostplanar import oracle
 from almostplanar.errors import OracleCapError
 from almostplanar.families import enumerate_b_minors, gen_a_graph, gen_bicycle, gen_mobius, generate
 from almostplanar.graph import Graph, delete_edge, is_bipartite
@@ -92,6 +94,9 @@ def test_hamiltonian_path_endpoints():
     assert validate_path(g, path, 6)
     with pytest.raises(ValueError):
         hamiltonian_path(g, 3, 3)
+    for u, v in ((0, 2), (2, 0), (1, 7), (1, 9), (-1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            hamiltonian_path(g, u, v)
 
 
 def test_oracle_cap(monkeypatch):
@@ -160,3 +165,66 @@ def test_spectrum_invariant_under_relabeling(rng):
     rng.shuffle(perm)
     h = g.relabel({v: perm[v - 1] for v in g.vertices()})
     assert cycle_spectrum(h).lengths == cycle_spectrum(g).lengths
+
+
+# -- independent references ------------------------------------------------------
+
+
+@st.composite
+def _small_graphs(draw, max_n: int) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else ()
+    return Graph(n, frozenset(chosen))
+
+
+@given(_small_graphs(9))
+@settings(max_examples=150, deadline=None)
+def test_cycle_lengths_agree_with_networkx(g):
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(g.vertices())
+    want = {len(c) for c in nx.simple_cycles(G, length_bound=g.n)}
+    spec = cycle_spectrum(g, witnesses=True)
+    assert spec.lengths == want
+    assert is_pancyclic(g) == (want == set(range(3, g.n + 1)))
+    for length, seq in spec.witnesses.items():
+        assert validate_cycle(g, seq, length)
+
+
+def _first_spanning_path(g: Graph, u: int, v: int):
+    """The lexicographically first spanning u-v path, by trying every
+    order of the other vertices."""
+    inner = [w for w in g.vertices() if w not in (u, v)]
+    for order in itertools.permutations(inner):
+        seq = [u, *order, v]
+        if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+            return seq
+    return None
+
+
+@given(_small_graphs(7))
+@settings(max_examples=60, deadline=None)
+def test_hamiltonian_path_agrees_with_brute_force(g):
+    # The search tries neighbours in sorted order, so its first path is
+    # the lexicographically first one.
+    first_failing = None
+    for u, v in itertools.permutations(g.vertices(), 2):
+        want = _first_spanning_path(g, u, v)
+        assert hamiltonian_path(g, u, v) == want
+        if want is None and u < v and first_failing is None:
+            first_failing = (u, v)
+    assert hamiltonian_connectivity(g) == (first_failing is None, first_failing)
+
+
+@pytest.mark.parametrize("query", [hamiltonian_connectivity, cycle_spectrum])
+def test_one_distance_table_per_call(monkeypatch, query):
+    calls = []
+    real = oracle._distances
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(oracle, "_distances", counted)
+    query(gen_bicycle(10).graph)
+    assert len(calls) == 1
