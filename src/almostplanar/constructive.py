@@ -112,6 +112,17 @@ def _bicycle_parts(inst: LabeledInstance) -> tuple[Bicycle, int, int, int]:
     return spec, n, n, n - 1  # (spec, n, s-hub, t-hub)
 
 
+def _rim_walk(n: int, first: int, count: int) -> list[int]:
+    """count <= n-2 consecutive rim vertices upward from rim_index(n, first),
+    wrapping past n-2 to 1: two ranges, one rim_index call."""
+    r = n - 2
+    first = rim_index(n, first)
+    stop = first + count
+    if stop <= r + 1:
+        return list(range(first, stop))
+    return list(range(first, r + 1)) + list(range(1, stop - r))
+
+
 def _spoke_present(spec: Bicycle, hub: str, i: int) -> bool:
     i = rim_index(spec.n, i)
     removed = spec.removed_s if hub == "s" else spec.removed_t
@@ -151,16 +162,13 @@ def bicycle_ham_path(inst: LabeledInstance, u: int, v: int) -> list[int]:
     elif u in hubs or v in hubs:
         hub, rim = (u, v) if u in hubs else (v, u)
         other = hub_t if hub == hub_s else hub_s
-        walk = [rim_index(n, rim + 1 + j) for j in range(n - 2)]
-        seq = [hub, other] + walk
+        seq = [hub, other] + _rim_walk(n, rim + 1, n - 2)
     else:
-        i, j = u, v
-        ascend = [i]
-        while ascend[-1] != rim_index(n, j - 1):
-            ascend.append(rim_index(n, ascend[-1] + 1))
-        descend = [rim_index(n, i - 1)]
-        while descend[-1] != j:
-            descend.append(rim_index(n, descend[-1] - 1))
+        # Up from i to j-1, then down from i-1 to j: the two rim arcs
+        # between i and j, each walked from its end next to i.
+        i, j, r = u, v, n - 2
+        ascend = _rim_walk(n, i, (j - 1 - i) % r + 1)
+        descend = _rim_walk(n, j, (i - 1 - j) % r + 1)[::-1]
         seq = ascend + [hub_s, hub_t] + descend
     if seq[0] != u:
         seq.reverse()
@@ -184,8 +192,7 @@ def b_graph_ham_cycle(inst: LabeledInstance) -> list[int]:
             if _spoke_present(spec, first, i) and _spoke_present(
                 spec, second, i + 1
             ):
-                walk = [rim_index(n, i + 1 + j) for j in range(r)]
-                seq = walk + [hub_a, hub_b]
+                seq = _rim_walk(n, i + 1, r) + [hub_a, hub_b]
                 return _gate_cycle(inst.graph, seq, n)
     raise ValueError(
         "no rim position with opposite-hub spokes on consecutive vertices; "
@@ -248,13 +255,9 @@ def b_adjacent_spoke_cycle(inst: LabeledInstance, length: int) -> list[int]:
     else:
         far = rim_index(n, i + length - 2)
         if _spoke_present(spec, hub, far):
-            seq = [hub_v] + [rim_index(n, i + j) for j in range(length - 1)]
+            seq = [hub_v] + _rim_walk(n, i, length - 1)
         else:
-            seq = (
-                [hub_v]
-                + [rim_index(n, i + 1 + j) for j in range(length - 2)]
-                + [other_v]
-            )
+            seq = [hub_v] + _rim_walk(n, i + 1, length - 2) + [other_v]
     return _gate_cycle(inst.graph, seq, length)
 
 
@@ -558,8 +561,6 @@ def constructive_spectrum(spec: FamilySpec) -> CycleSpectrum:
         )
     inst = generate(spec)
     build = SPECTRA[family_of(spec).name].builder(spec, inst)
-    g = inst.graph
-    witnesses = {
-        length: _gate_cycle(g, build(length), length) for length in sorted(lengths)
-    }
-    return CycleSpectrum(g.n, lengths, witnesses)
+    # Every builder gates what it emits, so each witness is validated once.
+    witnesses = {length: build(length) for length in sorted(lengths)}
+    return CycleSpectrum(inst.graph.n, lengths, witnesses)

@@ -117,8 +117,9 @@ class LabeledInstance:
     vertex_roles: dict[int, str] = field(default_factory=dict)
     edge_roles: dict[Edge, str] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def role_to_vertex(self) -> dict[str, int]:
+        """The inverse of vertex_roles, built on first use per instance."""
         return {r: v for v, r in self.vertex_roles.items()}
 
     def roles_to_json(self) -> dict:
@@ -162,14 +163,15 @@ def gen_mobius(k: int) -> LabeledInstance:
     n = 2 * k
     vroles = {i: f"ladder-left-{i}" for i in range(1, k + 1)}
     vroles.update({k + i: f"ladder-right-{i}" for i in range(1, k + 1)})
+    # Every pair below is written smaller end first, so none needs edge().
     eroles: dict[Edge, str] = {}
     for i in range(1, k - 1):
-        eroles[edge(i, i + 1)] = "ladder-side"
-        eroles[edge(k + i, k + i + 1)] = "ladder-side"
+        eroles[i, i + 1] = "ladder-side"
+        eroles[k + i, k + i + 1] = "ladder-side"
     for i in range(1, k + 1):
-        eroles[edge(i, k + i)] = "ladder-rung"
-    for u, v in ((1, k), (k + 1, 2 * k), (k - 1, 2 * k), (k, 2 * k - 1)):
-        eroles[edge(u, v)] = "ladder-twist"
+        eroles[i, k + i] = "ladder-rung"
+    for e in ((1, k), (k + 1, 2 * k), (k - 1, 2 * k), (k, 2 * k - 1)):
+        eroles[e] = "ladder-twist"
     return LabeledInstance(
         Graph(n, frozenset(eroles)), Mobius(k), vroles, eroles
     )
@@ -284,19 +286,20 @@ def gen_bicycle(
             "spoke and each hub two"
         )
 
+    # Rim vertices sit below both hubs, so every pair below is written
+    # smaller end first and none needs edge().
     hub_s, hub_t = n, n - 1
     vroles = {i: f"rim-{i}" for i in range(1, n - 1)}
     vroles[hub_s] = "hub-s"
     vroles[hub_t] = "hub-t"
-    eroles: dict[Edge, str] = {}
-    for i in range(1, n - 1):
-        eroles[edge(i, rim_index(n, i + 1))] = f"r{i}"
+    eroles: dict[Edge, str] = {(i, i + 1): f"r{i}" for i in range(1, n - 2)}
+    eroles[1, n - 2] = f"r{n - 2}"
     for i, letter in enumerate(word, 1):
         if letter in "BS":
-            eroles[edge(hub_s, i)] = f"s{i}"
+            eroles[i, hub_s] = f"s{i}"
         if letter in "BT":
-            eroles[edge(hub_t, i)] = f"t{i}"
-    eroles[edge(hub_s, hub_t)] = "z"
+            eroles[i, hub_t] = f"t{i}"
+    eroles[hub_t, hub_s] = "z"
     return LabeledInstance(Graph(n, frozenset(eroles)), spec, vroles, eroles)
 
 
@@ -334,9 +337,18 @@ def gen_wheel(n: int) -> LabeledInstance:
 # -- K33 chain and the fan families --------------------------------------------
 
 
-def _chord_edge(inst: LabeledInstance, name: str) -> Edge:
-    rv = inst.role_to_vertex
-    return edge(rv[name[0]], rv[name[1]])
+def _k33_roles(extras: frozenset[str]) -> tuple[dict[int, str], dict[Edge, str]]:
+    """Vertex and edge roles of K_{3,3} on {a,b,c} x {x1,y1,z1} plus the
+    chords named in extras; the edge roles' keys are the edge set."""
+    ids = {"a": 1, "b": 2, "c": 3, "x1": 4, "y1": 5, "z1": 6}
+    vroles = {v: r for r, v in ids.items()}
+    eroles: dict[Edge, str] = {}
+    for left in ("a", "b", "c"):
+        for right in ("x1", "y1", "z1"):
+            eroles[ids[left], ids[right]] = "base"
+    for name in sorted(extras):
+        eroles[ids[name[0]], ids[name[1]]] = name
+    return vroles, eroles
 
 
 def gen_k33_chain(extra_edges: Sequence[str] | frozenset[str] = ()) -> LabeledInstance:
@@ -345,17 +357,40 @@ def gen_k33_chain(extra_edges: Sequence[str] | frozenset[str] = ()) -> LabeledIn
     bad = extras - set(CHORD_NAMES)
     if bad:
         raise ValueError(f"unknown chord names: {sorted(bad)}")
-    ids = {"a": 1, "b": 2, "c": 3, "x1": 4, "y1": 5, "z1": 6}
-    vroles = {v: r for r, v in ids.items()}
-    eroles: dict[Edge, str] = {}
-    for left in ("a", "b", "c"):
-        for right in ("x1", "y1", "z1"):
-            eroles[edge(ids[left], ids[right])] = "base"
-    for name in sorted(extras):
-        eroles[edge(ids[name[0]], ids[name[1]])] = name
+    vroles, eroles = _k33_roles(extras)
     return LabeledInstance(
         Graph(6, frozenset(eroles)), K33Chain(extras), vroles, eroles
     )
+
+
+def _grow_fan(
+    vroles: dict[int, str],
+    eroles: dict[Edge, str],
+    n: int,
+    hub: int,
+    u: int,
+    v: int,
+    roles: Sequence[str],
+) -> list[Edge]:
+    """Replace the edge uv of an n-vertex graph by the path v, n+1, ...,
+    n+len(roles), u and join each new vertex to hub, in place on the role
+    maps; returns the new edges.  No roles means no fan, and no change.
+
+    The new vertices are numbered above every old one, so each new pair
+    is written smaller end first.
+    """
+    if not roles:
+        return []
+    new_ids = range(n + 1, n + len(roles) + 1)
+    vroles.update(zip(new_ids, roles))
+    eroles.pop(edge(u, v), None)
+    added = [(v, new_ids[0])]
+    added += zip(new_ids, new_ids[1:])
+    added.append((u, new_ids[-1]))
+    eroles.update(dict.fromkeys(added, "fan-path"))
+    spokes = [(hub, w) for w in new_ids]
+    eroles.update(dict.fromkeys(spokes, "fan-spoke"))
+    return added + spokes
 
 
 def attach_fan(
@@ -400,76 +435,47 @@ def attach_fan(
     count = length - 1
     if new_vertex_roles is not None and len(new_vertex_roles) != count:
         raise ValueError(f"need {count} new vertex roles")
-    new_ids = list(range(g.n + 1, g.n + count + 1))
+    roles = new_vertex_roles or [f"fan{hub}-{idx}" for idx in range(1, count + 1)]
     vroles = dict(inst.vertex_roles)
-    for idx, w in enumerate(new_ids):
-        vroles[w] = (
-            new_vertex_roles[idx] if new_vertex_roles else f"fan{hub}-{idx + 1}"
-        )
-
     eroles = dict(inst.edge_roles)
-    eroles.pop(g_edge, None)
-    edges = set(g.edges)
-    edges.discard(g_edge)
-    chain = [v] + new_ids + [u]
-    for a, b in zip(chain, chain[1:]):
-        e2 = edge(a, b)
-        edges.add(e2)
-        eroles[e2] = "fan-path"
-    for w in new_ids:
-        e2 = edge(hub, w)
-        edges.add(e2)
-        eroles[e2] = "fan-spoke"
+    added = _grow_fan(vroles, eroles, g.n, hub, u, v, roles)
     return replace(
         inst,
-        graph=Graph(g.n + count, frozenset(edges)),
+        graph=Graph(g.n + count, (g.edges - {g_edge}).union(added)),
         vertex_roles=vroles,
         edge_roles=eroles,
     )
 
 
 def _gen_h(spec: Union[H1, H2], third_hub: str) -> LabeledInstance:
+    """K33 with all chords, fans of lengths p, q, r across the triangles
+    a-b-x1 and c-b-y1 (hub b) and a-b-z1 (hub third_hub), then the deleted
+    chords removed.  Each fan is the one attach_fan grows, grown on the
+    role maps so that one Graph is built."""
     if min(spec.p, spec.q, spec.r) < 1:
         raise ValueError("fan lengths p, q, r must be >= 1")
     bad = spec.deleted - set(CHORD_NAMES)
     if bad:
         raise ValueError(f"unknown deletable edges: {sorted(bad)}")
-    inst = gen_k33_chain(CHORD_NAMES)
-    rv = inst.role_to_vertex
+    vroles, eroles = _k33_roles(frozenset(CHORD_NAMES))
+    rv = {r: v for v, r in vroles.items()}
     a, b, c = rv["a"], rv["b"], rv["c"]
     x1, y1, z1 = rv["x1"], rv["y1"], rv["z1"]
+    z_hub = rv[third_hub]
+    z_end = a if z_hub == b else b
 
-    inst = attach_fan(
-        inst,
-        (edge(a, b), edge(b, x1), edge(a, x1)),
-        (edge(a, b), edge(b, x1)),
-        spec.p,
-        [f"x{i}" for i in range(2, spec.p + 1)],
-    )
-    inst = attach_fan(
-        inst,
-        (edge(b, c), edge(b, y1), edge(c, y1)),
-        (edge(b, c), edge(b, y1)),
-        spec.q,
-        [f"y{i}" for i in range(2, spec.q + 1)],
-    )
-    third_side = edge(rv[third_hub], z1)
-    inst = attach_fan(
-        inst,
-        (edge(a, b), edge(b, z1), edge(a, z1)),
-        (edge(a, b), third_side),
-        spec.r,
-        [f"z{i}" for i in range(2, spec.r + 1)],
-    )
-
-    g = inst.graph
-    eroles = dict(inst.edge_roles)
+    n = 6
+    for hub, u, v, prefix, length in (
+        (b, a, x1, "x", spec.p),
+        (b, c, y1, "y", spec.q),
+        (z_hub, z_end, z1, "z", spec.r),
+    ):
+        roles = [f"{prefix}{i}" for i in range(2, length + 1)]
+        _grow_fan(vroles, eroles, n, hub, u, v, roles)
+        n += len(roles)
     for name in sorted(spec.deleted):
-        ch = _chord_edge(inst, name)
-        if ch in g.edges:
-            g = Graph(g.n, g.edges - {ch})
-            eroles.pop(ch, None)
-    return replace(inst, graph=g, family=spec, edge_roles=eroles)
+        del eroles[edge(rv[name[0]], rv[name[1]])]
+    return LabeledInstance(Graph(n, frozenset(eroles)), spec, vroles, eroles)
 
 
 def gen_h1(

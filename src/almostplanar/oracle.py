@@ -27,10 +27,20 @@ Tables = tuple[list[list[int]], list[list[int]]]
 
 
 def oracle_cap(explicit: Optional[int] = None) -> int:
+    """The explicit cap, else APK_ORACLE_CAP, else DEFAULT_CAP.
+
+    The variable is read as the edge-list parser reads a number: ASCII
+    digits only, so no sign, underscore or other script's digits.  An
+    empty value keeps the default; any other value raises ValueError.
+    """
     if explicit is not None:
         return explicit
     env = os.environ.get("APK_ORACLE_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"APK_ORACLE_CAP must be ASCII digits, got {env!r}")
+    return int(env)
 
 
 def _distances(g: Graph) -> list[list[int]]:
@@ -225,20 +235,22 @@ class SeqCheck:
 def _check_seq(
     g: Graph, seq: Sequence[int], expect_length: int, closed: bool
 ) -> SeqCheck:
+    """One pass per check, in this order: length, vertex range,
+    distinct vertices, then each consecutive pair (and the closing pair
+    of a cycle) an edge of g, the first missing one reported."""
     if len(seq) != expect_length:
         return SeqCheck(False, "wrong length")
     if closed and expect_length < 3:
         return SeqCheck(False, "wrong length")
-    for v in seq:
-        if not 1 <= v <= g.n:
-            return SeqCheck(False, "vertex out of range")
+    if not seq:
+        return SeqCheck(True)
+    if min(seq) < 1 or max(seq) > g.n:
+        return SeqCheck(False, "vertex out of range")
     if len(set(seq)) != len(seq):
         return SeqCheck(False, "duplicate vertex")
-    pairs = list(zip(seq, seq[1:]))
-    if closed:
-        pairs.append((seq[-1], seq[0]))
-    for a, b in pairs:
-        if not g.has_edge(a, b):
+    edges = g.edges
+    for a, b in zip(seq, [*seq[1:], seq[0]] if closed else seq[1:]):
+        if ((a, b) if a < b else (b, a)) not in edges:
             return SeqCheck(False, f"missing edge ({a}, {b})")
     return SeqCheck(True)
 

@@ -163,6 +163,24 @@ def test_spectrum_cap_exit_3(tmp_path, capsys):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1_8", "-1"])
+def test_bad_oracle_cap_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "v8.edges"
+    path.write_text(format_edge_list(gen_mobius(4).graph))
+    monkeypatch.setenv("APK_ORACLE_CAP", value)
+    code, out, err = run_cli(capsys, "spectrum", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: APK_ORACLE_CAP") and err.count("\n") == 1
+
+
+def test_empty_oracle_cap_env_keeps_the_default(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.edges"
+    path.write_text(format_edge_list(Graph(19, frozenset())))
+    monkeypatch.setenv("APK_ORACLE_CAP", "")
+    code, _, err = run_cli(capsys, "spectrum", str(path))
+    assert code == 3 and "cap 18" in err
+
+
 @pytest.mark.parametrize(
     "command", [["classify"], ["spectrum", "--method", "constructive"]]
 )

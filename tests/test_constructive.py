@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from almostplanar import constructive
 from almostplanar.constructive import (
     a_even_cycle,
     b_adjacent_spoke_cycle,
@@ -37,6 +38,7 @@ from almostplanar.families import (
     gen_mobius,
     gen_wheel,
     generate,
+    rim_index,
 )
 from almostplanar.oracle import cycle_spectrum, validate_cycle, validate_path
 from almostplanar.planarity import is_planar
@@ -285,3 +287,35 @@ def test_builders_are_linear_time():
     assert validate_cycle(inst.graph, seq, n)
     emit_elapsed = time.perf_counter() - t0
     assert emit_elapsed < 0.5
+
+
+def test_bicycle_walks_make_constant_rim_index_calls(monkeypatch):
+    # the rim walks are ranges: a fixed number of rim_index calls for any
+    # n, never one per vertex
+    calls = []
+
+    def counted(n, i):
+        calls.append(i)
+        return rim_index(n, i)
+
+    monkeypatch.setattr(constructive, "rim_index", counted)
+    counts = {}
+    for n in (1000, 10_000):
+        full, alternating = gen_bicycle(n), gen_a_graph(n)
+        ops = [
+            (bicycle_ham_path, full, (n, n - 1)),
+            (bicycle_ham_path, full, (n, 1)),
+            (bicycle_ham_path, full, (n // 2, n - 1)),
+            (bicycle_ham_path, full, (1, 2)),
+            (bicycle_ham_path, full, (2, 1)),
+            (bicycle_ham_path, full, (1, n - 2)),
+            (bicycle_ham_path, full, (n // 2, 3)),
+            (b_graph_ham_cycle, full, ()),
+            (b_graph_ham_cycle, alternating, ()),
+        ]
+        for build, inst, args in ops:
+            calls.clear()
+            build(inst, *args)
+            counts.setdefault(n, []).append(len(calls))
+    assert counts[1000] == counts[10_000]
+    assert max(counts[10_000]) <= 3

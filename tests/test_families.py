@@ -196,6 +196,58 @@ def test_attach_fan_identity_and_growth():
         assert not grown.graph.has_edge(1, 4)  # third side deleted
 
 
+@pytest.mark.parametrize("p,q,r", [(1, 1, 1), (3, 1, 2), (2, 4, 3)])
+def test_h_generators_grow_the_fans_attach_fan_grows(p, q, r):
+    # gen_h1/gen_h2 grow their fans on the role maps; attach_fan, one
+    # Graph per fan, must give the same instance
+    for gen, third_hub in ((gen_h1, 2), (gen_h2, 1)):
+        inst = gen_k33_chain(("ab", "bc", "ac"))
+        for sides, length, prefix in (
+            ((edge(1, 2), edge(2, 4)), p, "x"),
+            ((edge(2, 3), edge(2, 5)), q, "y"),
+            ((edge(1, 2), edge(third_hub, 6)), r, "z"),
+        ):
+            corners = set(sides[0]) ^ set(sides[1])
+            tri = (*sides, edge(*corners))
+            roles = [f"{prefix}{i}" for i in range(2, length + 1)]
+            inst = attach_fan(inst, tri, sides, length, roles)
+        grown = gen(p, q, r, ())
+        assert grown.graph == inst.graph
+        assert grown.vertex_roles == inst.vertex_roles
+        assert grown.edge_roles == inst.edge_roles
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Mobius(5),
+        Bicycle(9),
+        Bicycle(9, frozenset({2, 5}), frozenset({3})),
+        a_graph_spec(10),
+        Wheel(7),
+        K33Chain(),
+        K33Chain(frozenset({"ab", "ac"})),
+        H1(1, 1, 1),
+        H1(3, 2, 4, frozenset({"ab", "bc", "ac"})),
+        H1(2, 1, 3, frozenset({"ab"})),
+        H2(1, 4, 2, frozenset({"bc", "ac"})),
+        H2(5, 1, 1, frozenset({"ab", "bc", "ac"})),
+    ],
+)
+def test_generate_builds_one_graph(monkeypatch, spec):
+    # every family's generator validates its edges once, in one Graph
+    built = []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    inst = generate(spec)
+    assert built == [inst.graph.n]
+
+
 def test_attach_fan_rejects_bad_triangles():
     base = gen_k33_chain(("ab", "bc", "ac"))
     with pytest.raises(ValueError, match="triangle"):

@@ -1,5 +1,6 @@
 """Golden outputs: CLI stdout, written files, exit codes and stderr, and
-digests of the family enumeration and of classify over the corpus.
+digests of the family enumeration, of classify over the corpus, and of
+the builders' witnesses and the generators' instances at large n.
 
 Every file under ``tests/golden/`` must be reproduced byte for byte.
 The files are captured once from a known-good tree; recapture them only
@@ -16,18 +17,24 @@ import io
 import itertools
 import json
 import random
+import struct
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from almostplanar import cli, verify
+from almostplanar import cli, constructive, verify
 from almostplanar.classify import _candidates, classify
 from almostplanar.families import (
+    CHORD_NAMES,
     H1,
+    H2,
     Bicycle,
     K33Chain,
     Mobius,
+    Wheel,
+    _bicycle_from_pattern,
+    a_graph_spec,
     gen_bicycle,
     gen_wheel,
     generate,
@@ -129,6 +136,109 @@ def classify_mutant_digest() -> dict:
     return _digest(rows)
 
 
+BUILDER_N = 1000
+GENERATE_N = 10_000
+
+
+def _fan_specs(n: int, deleted: frozenset[str]) -> list:
+    """H1 then H2 specs on n vertices: two fans of length 1 beside a long
+    one, and three fans of about equal length."""
+    third = (n - 3) // 3
+    pqrs = ((1, 1, n - 5), (third, n - 3 - 2 * third, third))
+    return [kind(*pqr, deleted) for kind in (H1, H2) for pqr in pqrs]
+
+
+class _RowDigest:
+    """sha256 over rows of a label and a list of values, each row framed
+    by its label and length; a count of the rows rides along.  A list of
+    ints is hashed as little-endian 64-bit words, anything else by its
+    repr."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.hash = hashlib.sha256()
+
+    def add(self, label, values: list) -> None:
+        self.count += 1
+        self.hash.update(f"{label} {len(values)}\n".encode())
+        if all(type(v) is int for v in values):
+            self.hash.update(struct.pack(f"<{len(values)}q", *values))
+        else:
+            self.hash.update(repr(values).encode())
+
+    def result(self) -> dict:
+        return {"count": self.count, "sha256": self.hash.hexdigest()}
+
+
+def builder_digest() -> dict:
+    """Digests of every builder's witnesses at n = 1000, of bicycle_ham_path
+    over fixed vertex pairs in both directions, and of generate() for each
+    family at n = 10^4 (edges, vertex roles and edge roles)."""
+    n = BUILDER_N
+    chords = frozenset(CHORD_NAMES)
+    minors = [
+        _bicycle_from_pattern(n, "S" * 3 + "T" * (n - 8) + "SB"),
+        _bicycle_from_pattern(n, ("SSTBT" * n)[: n - 2]),
+    ]
+    fans = _fan_specs(n, chords)
+    runs = {
+        "mobius_cycle": [(Mobius(n // 2), sorted(constructive.mobius_lengths(n // 2)))],
+        "bicycle_cycle": [(Bicycle(n), range(3, n + 1))],
+        "a_even_cycle": [
+            (a_graph_spec(n), range(4, n + 1, 2)),
+            (_bicycle_from_pattern(n, "TS" * (n // 2 - 1)), range(4, n + 1, 2)),
+        ],
+        "h1_cycle": [(spec, range(3, n + 1)) for spec in fans[:2]],
+        "h2_cycle": [(spec, range(3, n + 1)) for spec in fans[2:]],
+        "b_graph_ham_cycle": [(spec, [None]) for spec in [Bicycle(n), *minors]],
+        "b_adjacent_spoke_cycle": [(spec, range(3, n + 1)) for spec in minors],
+    }
+    out = {}
+    for name, cases in runs.items():
+        build = getattr(constructive, name)
+        rows = _RowDigest()
+        for spec, lengths in cases:
+            inst = generate(spec)
+            for length in lengths:
+                args = () if length is None else (length,)
+                rows.add((spec_to_json(spec), args), build(inst, *args))
+        out[name] = rows.result()
+
+    hub_s, hub_t = n, n - 1
+    rims = (1, 2, 3, n // 2, n // 2 + 1, n - 3, n - 2)
+    pairs = [(hub_s, hub_t)] + [(hub, rim) for hub in (hub_s, hub_t) for rim in rims]
+    pairs += itertools.combinations(rims, 2)
+    inst = generate(Bicycle(n))
+    rows = _RowDigest()
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            rows.add((a, b), constructive.bicycle_ham_path(inst, a, b))
+    out["bicycle_ham_path"] = rows.result()
+
+    big = GENERATE_N
+    specs = [
+        Mobius(big // 2),
+        Bicycle(big),
+        a_graph_spec(big),
+        _bicycle_from_pattern(big, ("SSTBT" * big)[: big - 2]),
+        Wheel(big),
+        *map(K33Chain, (frozenset(), chords)),
+        *_fan_specs(big, frozenset()),
+        *_fan_specs(big, chords),
+        H1(2, 3, big - 8, frozenset({"ab"})),
+        H2(2, 3, big - 8, frozenset({"bc", "ac"})),
+    ]
+    rows = _RowDigest()
+    for spec in specs:
+        inst = generate(spec)
+        label = spec_to_json(spec)
+        rows.add((label, "edges"), inst.graph.sorted_edges())
+        rows.add((label, "vertex roles"), sorted(inst.vertex_roles.items()))
+        rows.add((label, "edge roles"), sorted(inst.edge_roles.items()))
+    out["generate"] = rows.result()
+    return out
+
+
 def produce(tmp: Path) -> dict[str, str]:
     """Every golden file's expected content, keyed by file name."""
     files: dict[str, str] = {}
@@ -179,6 +289,7 @@ def produce(tmp: Path) -> dict[str, str]:
     files["instances.json"] = _json(instance_digests())
     files["classify_corpus_9.json"] = _json(classify_sweep_digest())
     files["classify_mutants_9.json"] = _json(classify_mutant_digest())
+    files["builders.json"] = _json(builder_digest())
     return files
 
 

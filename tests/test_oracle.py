@@ -109,6 +109,22 @@ def test_oracle_cap(monkeypatch):
     assert cycle_spectrum(big, cap=25).lengths == frozenset()
 
 
+@pytest.mark.parametrize("value", ["abc", "1_8", "-1", "+18", " 18", "1.8", "\u0661\u0668"])
+def test_oracle_cap_env_takes_ascii_digits_only(monkeypatch, value):
+    monkeypatch.setenv("APK_ORACLE_CAP", value)
+    with pytest.raises(ValueError, match="APK_ORACLE_CAP"):
+        oracle.oracle_cap()
+    # an explicit cap never reads the variable
+    assert oracle.oracle_cap(5) == 5
+
+
+def test_oracle_cap_env_empty_keeps_the_default(monkeypatch):
+    monkeypatch.setenv("APK_ORACLE_CAP", "")
+    assert oracle.oracle_cap() == oracle.DEFAULT_CAP == 18
+    monkeypatch.setenv("APK_ORACLE_CAP", "007")
+    assert oracle.oracle_cap() == 7
+
+
 def test_validate_cycle_reasons(k4):
     assert validate_cycle(k4, [1, 2, 3], 3)
     assert validate_cycle(k4, [1, 2, 3, 4], 4)
