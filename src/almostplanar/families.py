@@ -17,7 +17,7 @@ the constructive cycle builders rely on.
 
 Every per-family fact lives in one place.  The registry ``FAMILIES``
 holds each family's name, spec type (its fields are the parameters),
-vertex count and generator; :func:`generate` and the JSON round-trip
+vertex count and generator; :func:`generate` and :func:`spec_to_json`
 read from it.  :func:`instances` is the one enumeration of the family
 instances on n vertices.  Cycle spectra and builders sit in one table,
 ``constructive.SPECTRA``, so adding a family touches the registry plus
@@ -74,6 +74,12 @@ class Bicycle:
     n: int
     removed_s: frozenset[int] = frozenset()
     removed_t: frozenset[int] = frozenset()
+
+    @cached_property
+    def rim_word(self) -> str:
+        """The spec's rim word (see `_rim_word`), built on first use per
+        spec."""
+        return _rim_word(self)
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ def bicycle_is_planar(spec: Bicycle) -> bool:
     ``S*B?T*B?S*`` or ``T*B?S*B?T*``; squeezing each S or T run to one
     letter keeps that test O(n).
     """
-    squeezed = re.sub(r"([ST])\1+", r"\1", _rim_word(spec))
+    squeezed = re.sub(r"([ST])\1+", r"\1", spec.rim_word)
     return re.fullmatch("S?B?T?B?S?|T?B?S?B?T?", squeezed) is not None
 
 
@@ -252,7 +258,7 @@ def bicycle_is_bipartite(spec: Bicycle) -> bool:
     triangle with them; every other rim vertex takes the colour its hub
     lacks, and rim neighbours need different colours, so different hubs.
     """
-    return re.fullmatch("(ST)+|(TS)+", _rim_word(spec)) is not None
+    return re.fullmatch("(ST)+|(TS)+", spec.rim_word) is not None
 
 
 def spec_is_4_connected(spec: FamilySpec) -> bool:
@@ -279,7 +285,7 @@ def gen_bicycle(
     """Bicycle wheel B_n with optional spoke removals; a pattern that
     breaks :func:`bicycle_is_3_connected` is an error."""
     spec = Bicycle(n, frozenset(removed_s), frozenset(removed_t))
-    word = _rim_word(spec)
+    word = spec.rim_word
     if not bicycle_is_3_connected(spec):
         raise ValueError(
             "violates 3-connectivity precondition: every rim vertex needs a "
@@ -604,33 +610,6 @@ def spec_to_json(spec: FamilySpec) -> dict:
         value = getattr(spec, name)
         data[name] = sorted(value) if is_set else value
     return data
-
-
-def spec_from_json(data: dict) -> FamilySpec:
-    """Parse the JSON form of a spec.  A missing set field is empty; any
-    other missing field, a set field that is not a list, or a value of
-    the wrong type raises ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a family spec must be a JSON object, got {data!r}")
-    fam = data.get("family")
-    family = FAMILIES.get(fam) if isinstance(fam, str) else None
-    if family is None:
-        raise ValueError(f"unknown family {fam!r}")
-    values = []
-    for name, kind, is_set in family.params:
-        if name not in data and not is_set:
-            raise ValueError(f"{fam} spec is missing field {name!r}")
-        value = data.get(name, [])
-        if is_set and not isinstance(value, list):
-            raise ValueError(f"{fam} field {name!r} must be a list, got {value!r}")
-        for item in value if is_set else [value]:
-            # type() rather than isinstance(): a JSON true is not an int
-            if type(item) is not kind:
-                raise ValueError(
-                    f"{fam} field {name!r} needs {kind.__name__} values, got {item!r}"
-                )
-        values.append(frozenset(value) if is_set else value)
-    return family.spec_type(*values)
 
 
 def generate(spec: FamilySpec) -> LabeledInstance:

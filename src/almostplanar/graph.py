@@ -95,13 +95,6 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(g.n, g.edges - {e})
 
 
-def add_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    e = edge(*e)
-    if not (1 <= e[0] < e[1] <= g.n):
-        raise ValueError(f"edge {e} out of range")
-    return Graph(g.n, g.edges | {e})
-
-
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Identify the endpoints of e and renumber to 1..n-1.
 
@@ -202,29 +195,6 @@ def is_k_connected(g: Graph, k: int) -> bool:
     )
 
 
-def two_coloring(g: Graph) -> Optional[dict[int, int]]:
-    """BFS 2-coloring; returns vertex -> {0, 1} or None if not bipartite."""
-    color: dict[int, int] = {}
-    for start in g.vertices():
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
-def is_bipartite(g: Graph) -> bool:
-    return two_coloring(g) is not None
-
-
 # -- isomorphism ------------------------------------------------------------
 
 
@@ -254,16 +224,6 @@ def _refine_colors(g: Graph) -> tuple[dict[int, int], tuple]:
             break
         distinct = len(palette)
     return colors, tuple(rounds)
-
-
-def refinement_signature(g: Graph) -> tuple:
-    """Label-invariant signature from degree refinement: n, m and the
-    sorted key multiset of every refinement round.
-
-    Equal signatures are necessary (not sufficient) for isomorphism;
-    used to prefilter candidate sweeps before exact matching.
-    """
-    return (g.n, g.m, _refine_colors(g)[1])
 
 
 def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[int, int]]:
@@ -351,6 +311,18 @@ def check_vertex_count(n: int) -> int:
     return n
 
 
+# A number with more significant digits than MAX_VERTICES is out of range
+# whatever its value, and so is an edge count longer than the number of
+# edge lines.  The parser rejects both before int(), which is quadratic
+# in the length of its input and by default refuses over 4,300 digits.
+_VERTEX_DIGITS = len(str(MAX_VERTICES))
+
+
+def _shown(digits: str) -> str:
+    """An over-long number, without leading zeros, as a message shows it."""
+    return digits if len(digits) <= 20 else f"{digits[:10]}...({len(digits)} digits)"
+
+
 def parse_edge_list(text: str) -> Graph:
     # Numbers are ASCII digits only: int() would also take "1_0", "+1"
     # and other scripts' digits.  str.isascii is O(1) in CPython, and an
@@ -363,15 +335,25 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2 or not (head[0].isdigit() and head[1].isdigit()):
         raise ValueError(f"header must be 'n m', got {lines[0]!r}")
-    n, m = check_vertex_count(int(head[0])), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+    n_digits, m_digits = (tok.lstrip("0") or "0" for tok in head)
+    if len(n_digits) > _VERTEX_DIGITS:
+        raise ValueError(f"{_shown(n_digits)} vertices exceed the limit of {MAX_VERTICES}")
+    n, found = check_vertex_count(int(n_digits)), len(lines) - 1
+    if len(m_digits) > len(str(found)) or int(m_digits) != found:
+        raise ValueError(f"expected {_shown(m_digits)} edge lines, found {found}")
     seen: set[Edge] = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
             raise ValueError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        a, b = parts
+        if len(a) > _VERTEX_DIGITS or len(b) > _VERTEX_DIGITS:
+            a, b = a.lstrip("0") or "0", b.lstrip("0") or "0"
+            if len(a) > _VERTEX_DIGITS or len(b) > _VERTEX_DIGITS:
+                raise ValueError(
+                    f"edge {_shown(a)} {_shown(b)} out of range (need 1 <= u < v <= {n})"
+                )
+        u, v = int(a), int(b)
         if u == v:
             raise ValueError(f"loop edge {u} {v} rejected")
         if not (1 <= u < v <= n):

@@ -214,10 +214,6 @@ def hamiltonian_connectivity(
     return True, None
 
 
-def is_hamiltonian_connected(g: Graph, cap: Optional[int] = None) -> bool:
-    return hamiltonian_connectivity(g, cap)[0]
-
-
 # -- sequence validation --------------------------------------------------------
 
 

@@ -2,9 +2,9 @@
 
 A non-planar graph is almost-planar when, for every edge, deleting or
 contracting that edge yields a planar graph.  `almost_planar_verdict`
-decides it and stops at the first edge that fails both tests;
-`is_almost_planar` tests every edge both ways and returns the full
-evidence table.
+decides it, stops at the first edge that fails both tests and reports
+that edge; it is the one decision that classification and verification
+read.
 
 The per-call planarity test is the package's own left-right test
 (Brandes, "The Left-Right Planarity Test", 2009, after de Fraysseix,
@@ -16,7 +16,6 @@ exhaustive Kuratowski-subdivision search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -249,104 +248,24 @@ def is_planar(g: Graph) -> bool:
     return _planar_cached(g)
 
 
-@dataclass(frozen=True)
-class EdgeEvidence:
-    edge: Edge
-    deletion_planar: bool
-    contraction_planar: bool
-
-    @property
-    def passes(self) -> bool:
-        return self.deletion_planar or self.contraction_planar
-
-
-@dataclass(frozen=True)
-class AlmostPlanarEvidence:
-    """Per-edge deletion/contraction planarity table plus the verdict.
-
-    verdict is True only for connected non-planar graphs where every
-    edge passes.  failing_edge is the first edge (in sorted order)
-    failing both tests, present only for connected non-planar inputs.
-    """
-
-    verdict: bool
-    per_edge: tuple[EdgeEvidence, ...]
-    failing_edge: Optional[Edge]
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "verdict": self.verdict,
-            "edges": [
-                {
-                    "u": ev.edge[0],
-                    "v": ev.edge[1],
-                    "del_planar": ev.deletion_planar,
-                    "con_planar": ev.contraction_planar,
-                }
-                for ev in self.per_edge
-            ],
-            "failing_edge": (
-                None
-                if self.failing_edge is None
-                else {"u": self.failing_edge[0], "v": self.failing_edge[1]}
-            ),
-        }
-
-
-def _fails_by_definition(g: Graph) -> str:
-    """Why g is not almost-planar before any edge is tested, or "".
-
-    Planar input fails by definition.  Disconnected input fails too:
-    the notion is only meaningful for connected graphs (the families
-    characterized by it are all 3-connected), and accepting e.g. a
-    non-planar component plus an isolated vertex would be vacuous.
-    """
-    if is_planar(g):
-        return "graph is planar"
-    if not is_connected(g):
-        return "graph is disconnected"
-    return ""
-
-
 @lru_cache(maxsize=65536)
 def almost_planar_verdict(g: Graph) -> tuple[bool, Optional[Edge]]:
-    """The almost-planarity verdict and failing edge of `is_almost_planar`,
-    without the per-edge table.
+    """The almost-planarity verdict and, when an edge decides it, the
+    first edge in sorted order whose contraction and deletion are both
+    non-planar.
 
-    Walks the sorted edges, tests the contraction first and the deletion
-    only when the contraction is not planar, and stops at the first edge
-    that fails both: that is the evidence table's failing edge.
+    Planar input fails by definition, with no failing edge.
+    Disconnected input fails too: the notion is only meaningful for
+    connected graphs (the families characterized by it are all
+    3-connected), and accepting e.g. a non-planar component plus an
+    isolated vertex would be vacuous.  Otherwise the walk over the
+    sorted edges tests the contraction first and the deletion only when
+    the contraction is not planar, and stops at the first edge that
+    fails both.
     """
-    if _fails_by_definition(g):
+    if is_planar(g) or not is_connected(g):
         return False, None
     for e in g.sorted_edges():
         if not is_planar(contract_edge(g, e)) and not is_planar(delete_edge(g, e)):
             return False, e
     return True, None
-
-
-def is_almost_planar(g: Graph) -> AlmostPlanarEvidence:
-    """Decide almost-planarity, returning evidence for every edge.
-
-    Planar and disconnected input fail with a note and an empty table
-    (see `_fails_by_definition`).  Classification and verification read
-    `almost_planar_verdict`, which stops at the failing edge; this full
-    table is for library callers and is not cached.
-    """
-    note = _fails_by_definition(g)
-    if note:
-        return AlmostPlanarEvidence(False, (), None, note=note)
-    rows = []
-    failing: Optional[Edge] = None
-    for e in g.sorted_edges():
-        row = EdgeEvidence(
-            edge=e,
-            deletion_planar=is_planar(delete_edge(g, e)),
-            contraction_planar=is_planar(contract_edge(g, e)),
-        )
-        rows.append(row)
-        if failing is None and not row.passes:
-            failing = e
-    return AlmostPlanarEvidence(failing is None, tuple(rows), failing)

@@ -31,9 +31,9 @@ from almostplanar.families import (
     generate,
     instances,
 )
-from almostplanar.graph import Graph, are_isomorphic, refinement_signature
+from almostplanar.graph import Graph, _refine_colors, are_isomorphic
 from almostplanar.oracle import cycle_spectrum
-from almostplanar.planarity import is_almost_planar
+from almostplanar.planarity import almost_planar_verdict
 
 # The package re-exports the function ``classify`` under the submodule's name.
 classify_module = importlib.import_module("almostplanar.classify")
@@ -245,7 +245,7 @@ def test_candidate_classes_are_the_isomorphism_classes(n):
         for cls in bucket:
             assert [rank[s] for s in cls.specs] == sorted(rank[s] for s in cls.specs)
             assert cls.graph == pairs[rank[cls.specs[0]]][1]
-            assert refinement_signature(cls.graph) == sig
+            assert (cls.graph.n, cls.graph.m, _refine_colors(cls.graph)[1]) == sig
 
 
 @pytest.mark.parametrize("n, count", [(10, 280), (11, 661)])
@@ -408,14 +408,14 @@ def test_moved_edge_mutant_reports_its_labelled_failing_edge():
         if (
             not nx.check_planarity(G)[0]
             and nx.node_connectivity(G) >= 3
-            and not is_almost_planar(mutant).verdict
+            and not almost_planar_verdict(mutant)[0]
         ):
             break
     res = classify(mutant)
     assert res.gate == GATE_NOT_ALMOST_PLANAR
     found = [re.search(r"edge \((\d+), (\d+)\) fails both", note) for note in res.evidence]
     u, v = (int(x) for x in next(m for m in found if m).groups())
-    assert (u, v) == is_almost_planar(mutant).failing_edge
+    assert (u, v) == almost_planar_verdict(mutant)[1]
     deleted = G.copy()
     deleted.remove_edge(u, v)
     contracted = nx.contracted_edge(G, (u, v), self_loops=False)

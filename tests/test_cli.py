@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -427,3 +428,43 @@ def test_fuzzed_edge_list_cli_runs_end_in_a_result_or_one_error_line(text):
             assert code == 2, argv
         else:
             assert code == 3 and cap is not None and g.n > cap, argv
+
+
+# Inputs up to the vertex bound, each with the exit codes of classify,
+# spectrum and export and what a usage error names.  A 10^6-digit number is rejected by its length,
+# never handed to int(), which refuses it by default and takes seconds
+# on it with the digit limit off.
+_LONG = "1" * 10**6
+_LARGE_INPUTS = {
+    "no-edges": (lambda: f"{MAX_VERTICES} 0\n", (3, 3, 0), ""),
+    "duplicate-lines": (lambda: "5 1000000\n" + "1 2\n" * 10**6, (2, 2, 2), "duplicate edge"),
+    "long-vertex-count": (lambda: f"{_LONG} 0\n", (2, 2, 2), f"limit of {MAX_VERTICES}"),
+    "long-edge-count": (lambda: f"5 {_LONG}\n", (2, 2, 2), "edge lines, found 0"),
+    "long-vertex": (lambda: f"5 1\n{_LONG} 2\n", (2, 2, 2), "out of range"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, int_digits",
+    [(case, None) for case in _LARGE_INPUTS]
+    + [(case, 0) for case in _LARGE_INPUTS if case.startswith("long")],
+)
+def test_large_hostile_inputs_end_in_bounded_time(case, int_digits):
+    make_text, codes, names = _LARGE_INPUTS[case]
+    text = make_text()
+    limit = sys.get_int_max_str_digits()
+    if int_digits is not None:
+        sys.set_int_max_str_digits(int_digits)
+    try:
+        for command, want in zip(("classify", "spectrum", "export"), codes):
+            t0 = time.perf_counter()
+            code, out, err = _main_on_stdin([command, "-"], text)
+            assert time.perf_counter() - t0 < 3.0, command
+            assert code == want, (command, err)
+            if code == 0:
+                assert out.count("\n") == MAX_VERTICES + 2 and not err
+            else:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                assert names in err and len(err) < 200, command
+    finally:
+        sys.set_int_max_str_digits(limit)

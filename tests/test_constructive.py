@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from almostplanar import constructive
+from almostplanar import constructive, families
 from almostplanar.constructive import (
     a_even_cycle,
     b_adjacent_spoke_cycle,
@@ -319,3 +319,20 @@ def test_bicycle_walks_make_constant_rim_index_calls(monkeypatch):
             counts.setdefault(n, []).append(len(calls))
     assert counts[1000] == counts[10_000]
     assert max(counts[10_000]) <= 3
+
+
+def test_a_even_cycle_builds_the_rim_word_once_per_spec(monkeypatch):
+    # the bipartite precondition reads the spec's cached rim word, which
+    # generating the instance built; ten builder calls build no other
+    builds = []
+
+    def counted(spec):
+        builds.append(spec)
+        return rim_word(spec)
+
+    rim_word = families._rim_word
+    monkeypatch.setattr(families, "_rim_word", counted)
+    inst = generate(a_graph_spec(10_000))
+    for length in range(4, 24, 2):
+        a_even_cycle(inst, length)
+    assert builds == [inst.family]
