@@ -323,6 +323,18 @@ def _shown(digits: str) -> str:
     return digits if len(digits) <= 20 else f"{digits[:10]}...({len(digits)} digits)"
 
 
+# The most characters of an input line that an error message echoes.
+_ECHO_CHARS = 80
+
+
+def _echoed(line: str) -> str:
+    """A malformed line as a message shows it: whole when it is short,
+    else its start and its length."""
+    if len(line) <= _ECHO_CHARS:
+        return repr(line)
+    return f"{line[: _ECHO_CHARS // 2]!r}...({len(line)} characters)"
+
+
 def parse_edge_list(text: str) -> Graph:
     # Numbers are ASCII digits only: int() would also take "1_0", "+1"
     # and other scripts' digits.  str.isascii is O(1) in CPython, and an
@@ -334,7 +346,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("empty edge-list input")
     head = lines[0].split()
     if len(head) != 2 or not (head[0].isdigit() and head[1].isdigit()):
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"header must be 'n m', got {_echoed(lines[0])}")
     n_digits, m_digits = (tok.lstrip("0") or "0" for tok in head)
     if len(n_digits) > _VERTEX_DIGITS:
         raise ValueError(f"{_shown(n_digits)} vertices exceed the limit of {MAX_VERTICES}")
@@ -345,7 +357,7 @@ def parse_edge_list(text: str) -> Graph:
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
-            raise ValueError(f"malformed edge line {ln!r}")
+            raise ValueError(f"malformed edge line {_echoed(ln)}")
         a, b = parts
         if len(a) > _VERTEX_DIGITS or len(b) > _VERTEX_DIGITS:
             a, b = a.lstrip("0") or "0", b.lstrip("0") or "0"

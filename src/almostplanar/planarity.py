@@ -12,14 +12,20 @@ Ossona de Mendez & Rosenstiehl, "Trémaux trees and planarity", 2006)
 behind cheap exact shortcuts.  It returns a verdict only and builds no
 embedding.  The test suite cross-validates it against networkx and an
 exhaustive Kuratowski-subdivision search.
+
+Verdicts are cached on the vertex count and the sorted edge pairs
+packed into bytes, not on a Graph, and the almost-planarity walk builds
+each deletion and contraction directly as such a key.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
-from .graph import Edge, Graph, contract_edge, delete_edge, is_connected
+from .graph import Edge, Graph, is_connected
 
 
 def _lr_planar(n: int, adj: Sequence[Sequence[int]]) -> bool:
@@ -228,16 +234,58 @@ def _lr_planar(n: int, adj: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+# The planarity cache keys on (n, the sorted edge pairs packed into
+# bytes): two unsigned ints per edge, 4 bytes each on the platforms
+# CPython supports, so every vertex up to MAX_VERTICES fits, where 16
+# bits would not.  Two keys are equal exactly when the graphs are, so
+# the cache hits exactly as a cache keyed on the Graph would, at a
+# fraction of its size.
+_CODE = "I"
+_EDGE_BYTES = 2 * array(_CODE).itemsize
+
+
+def _pack_edges(edges: Iterable[Edge]) -> bytes:
+    """The cache key bytes of sorted edge pairs."""
+    return array(_CODE, chain.from_iterable(edges)).tobytes()
+
+
+def _unpack_edges(codes: bytes) -> list[Edge]:
+    """The edge pairs that `_pack_edges` packed into codes."""
+    ends = iter(array(_CODE, codes))
+    return list(zip(ends, ends))
+
+
+def _deletion(codes: bytes, i: int) -> bytes:
+    """The key of the graph whose sorted edge i is deleted; the other
+    pairs stay sorted."""
+    return codes[: i * _EDGE_BYTES] + codes[(i + 1) * _EDGE_BYTES :]
+
+
+def _contraction(edges: Iterable[Edge], e: Edge) -> bytes:
+    """The key of the graph with edges `edges` whose edge e is
+    contracted, under the convention of `graph.contract_edge`: the
+    merged vertex keeps min(u, v), vertices above max(u, v) shift down
+    by one, loops are dropped and parallel edges merge."""
+    lo, hi = e
+    pairs = set()
+    for u, v in edges:
+        a = lo if u == hi else u - (u > hi)
+        b = lo if v == hi else v - (v > hi)
+        if a != b:
+            pairs.add((a, b) if a < b else (b, a))
+    return _pack_edges(sorted(pairs))
+
+
 @lru_cache(maxsize=262144)
-def _planar_cached(g: Graph) -> bool:
-    n, m = g.n, g.m
+def _planar_cached(n: int, codes: bytes) -> bool:
+    m = len(codes) // _EDGE_BYTES
     if n <= 4 or m <= 8:
         # smallest non-planar graphs are K5 (10 edges) and K3,3 (9 edges)
         return True
     if m > 3 * n - 6:
         return False
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
+    for u, v in _unpack_edges(codes):
         adj[u - 1].append(v - 1)
         adj[v - 1].append(u - 1)
     return _lr_planar(n, adj)
@@ -245,7 +293,7 @@ def _planar_cached(g: Graph) -> bool:
 
 def is_planar(g: Graph) -> bool:
     """Exact planarity verdict."""
-    return _planar_cached(g)
+    return _planar_cached(g.n, _pack_edges(g.sorted_edges()))
 
 
 @lru_cache(maxsize=65536)
@@ -261,11 +309,16 @@ def almost_planar_verdict(g: Graph) -> tuple[bool, Optional[Edge]]:
     isolated vertex would be vacuous.  Otherwise the walk over the
     sorted edges tests the contraction first and the deletion only when
     the contraction is not planar, and stops at the first edge that
-    fails both.
+    fails both.  Each minor is built as its cache key, straight from
+    the sorted edges, with no Graph.
     """
-    if is_planar(g) or not is_connected(g):
+    edges = g.sorted_edges()
+    codes = _pack_edges(edges)
+    if _planar_cached(g.n, codes) or not is_connected(g):
         return False, None
-    for e in g.sorted_edges():
-        if not is_planar(contract_edge(g, e)) and not is_planar(delete_edge(g, e)):
+    for i, e in enumerate(edges):
+        if _planar_cached(g.n - 1, _contraction(edges, e)):
+            continue
+        if not _planar_cached(g.n, _deletion(codes, i)):
             return False, e
     return True, None

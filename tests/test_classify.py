@@ -323,7 +323,10 @@ def test_cold_index_refines_each_instance_once(monkeypatch):
 
 
 def test_almost_planarity_criterion_op_counts(monkeypatch):
+    planarity_module._planar_cached.cache_clear()
+    planarity_module.almost_planar_verdict.cache_clear()
     monkeypatch.setattr(classify_module, "_indexes", {})
+    lr_tests = _count_lr_tests(monkeypatch)
     refinements = _count_refinements(monkeypatch)
     dfs_passes = _count_calls(monkeypatch, graph_module, "_biconnected_after_removal")
     queries = []
@@ -355,6 +358,10 @@ def test_almost_planarity_criterion_op_counts(monkeypatch):
     # 4-connected instance, comes from its spec and runs none.
     assert paying == {(n, 0): n for n in range(5, 10)}
     assert (len(refinements), len(dfs_passes)) == (976, 35)
+    # From cold planarity caches: the packed minor keys hit exactly where
+    # keys holding the minor graphs did.
+    planar = planarity_module._planar_cached.cache_info()
+    assert (planar.hits, planar.misses, len(lr_tests)) == (2048, 2684, 2658)
 
 
 def test_cold_classify_b10_lr_test_count(monkeypatch):

@@ -441,6 +441,17 @@ _LARGE_INPUTS = {
     "long-vertex-count": (lambda: f"{_LONG} 0\n", (2, 2, 2), f"limit of {MAX_VERTICES}"),
     "long-edge-count": (lambda: f"5 {_LONG}\n", (2, 2, 2), "edge lines, found 0"),
     "long-vertex": (lambda: f"5 1\n{_LONG} 2\n", (2, 2, 2), "out of range"),
+    # a malformed line is echoed by its start and its length only
+    "long-edge-line": (
+        lambda: "5 1\n1 " + "x" * (10**6 - 2) + "\n",
+        (2, 2, 2),
+        "malformed edge line '1 xxx",
+    ),
+    "long-header": (
+        lambda: "x" * 10**6 + "\n",
+        (2, 2, 2),
+        "header must be 'n m', got 'xxx",
+    ),
 }
 
 

@@ -135,6 +135,27 @@ def test_edge_list_rejects(bad):
         parse_edge_list(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\n1 x\n", "malformed edge line '1 x'"),
+        ("3 1\n1 2 3\n", "malformed edge line '1 2 3'"),
+        ("n m\n", "header must be 'n m', got 'n m'"),
+        # up to 80 characters a line is echoed whole, above it cut to 40
+        ("3 1\n1 " + "x" * 78 + "\n", "malformed edge line '1 " + "x" * 78 + "'"),
+        (
+            "3 1\n1 " + "x" * 79 + "\n",
+            "malformed edge line '1 " + "x" * 38 + "'...(81 characters)",
+        ),
+        ("y" * 81 + "\n", "header must be 'n m', got '" + "y" * 40 + "'...(81 characters)"),
+    ],
+)
+def test_edge_list_echoes_a_bounded_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def graphs(max_n: int = 8):
     return st.integers(2, max_n).flatmap(
         lambda n: st.frozensets(

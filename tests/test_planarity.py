@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from almostplanar.families import gen_bicycle, gen_mobius, gen_wheel, instances
 from almostplanar.graph import (
+    MAX_VERTICES,
     Graph,
     contract_edge,
     delete_edge,
@@ -14,7 +15,13 @@ from almostplanar.graph import (
     is_connected,
 )
 from almostplanar.planarity import (
+    _EDGE_BYTES,
+    _contraction,
+    _deletion,
     _lr_planar,
+    _pack_edges,
+    _planar_cached,
+    _unpack_edges,
     almost_planar_verdict,
     is_planar,
 )
@@ -162,17 +169,31 @@ def test_lr_planar_agrees_with_kuratowski(g):
     assert _lr(g) == is_planar_kuratowski(g)
 
 
+def _packed_minors(g: Graph):
+    """Each edge's deletion and contraction of g, as a graph and as the
+    key that the verdict builds; each key decodes to exactly the sorted
+    edges of its graph."""
+    edges = g.sorted_edges()
+    codes = _pack_edges(edges)
+    for i, e in enumerate(edges):
+        for minor, key in (
+            (delete_edge(g, e), _deletion(codes, i)),
+            (contract_edge(g, e), _contraction(edges, e)),
+        ):
+            assert _unpack_edges(key) == minor.sorted_edges(), (g, e)
+            yield minor, key
+
+
 def test_lr_planar_agrees_with_networkx_on_corpus_minors():
     minors = {
-        minor
+        minor: key
         for n in range(5, 10)
         for _, g in instances(n)
-        for e in g.sorted_edges()
-        for minor in (delete_edge(g, e), contract_edge(g, e))
+        for minor, key in _packed_minors(g)
     }
     assert len(minors) > 7000
-    for minor in minors:
-        assert _lr(minor) == _nx_planar(minor), minor
+    for minor, key in minors.items():
+        assert _lr(minor) == _nx_planar(minor) == _planar_cached(minor.n, key), minor
 
 
 def _near_family_graph(draw) -> Graph:
@@ -219,3 +240,42 @@ def test_lr_planar_has_no_depth_limit():
     bicycle = gen_bicycle(2000).graph  # m = 3n - 5, past the Euler shortcut
     assert not _lr(bicycle)
     assert _lr(delete_edge(bicycle, edge(1999, 2000)))
+
+
+# -- the packed minors and the cache key -----------------------------------------
+
+
+def test_cache_key_has_a_fixed_width_and_holds_the_vertex_bound(k4, k33):
+    assert _EDGE_BYTES == 8
+    for g in (Graph(3), k4, k33, gen_bicycle(9).graph):
+        assert len(_pack_edges(g.sorted_edges())) == _EDGE_BYTES * g.m
+    # past 2^16, so a 16-bit code could not hold it
+    top = [(1, MAX_VERTICES), (65_535, 65_536), (99_999, 100_000)]
+    codes = _pack_edges(top)
+    assert len(codes) == 3 * _EDGE_BYTES
+    assert _unpack_edges(codes) == top
+
+
+def test_is_planar_hits_the_keys_of_the_verdicts_minors(k6):
+    _planar_cached.cache_clear()
+    almost_planar_verdict.cache_clear()
+    assert almost_planar_verdict(k6) == (False, (1, 2))
+    before = _planar_cached.cache_info()
+    assert not is_planar(k6)
+    assert not is_planar(contract_edge(k6, (1, 2)))
+    assert not is_planar(delete_edge(k6, (1, 2)))
+    after = _planar_cached.cache_info()
+    assert (after.hits - before.hits, after.misses) == (3, before.misses)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_minors_of_relabelled_and_mutated_instances(data):
+    g = data.draw(st.sampled_from([g for n in range(5, 10) for _, g in instances(n)]))
+    free = sorted(set(itertools.combinations(g.vertices(), 2)) - g.edges)
+    if free and data.draw(st.booleans()):
+        drop = data.draw(st.sampled_from(g.sorted_edges()))
+        g = Graph(g.n, (g.edges - {drop}) | {data.draw(st.sampled_from(free))})
+    perm = data.draw(st.permutations(list(g.vertices())))
+    for minor, key in _packed_minors(g.relabel({v: perm[v - 1] for v in g.vertices()})):
+        assert _planar_cached(minor.n, key) == _nx_planar(minor), minor
