@@ -5,14 +5,16 @@ family instances on the same vertex count.  Those instances are grouped
 into isomorphism classes and indexed by refinement signature; each class
 keeps the refinement colours of its graph, so a query is refined once
 and exact isomorphism runs once per class in its bucket, and the spec
-list of the matched class is the full list of matching specs.
-Almost-planarity and the prediction are invariant under isomorphism: a
-matched input takes the verdict and the prediction of its class, each
-computed once and cached, and an unmatched input is decided on its own
-graph.  Once the index for the input's vertex count is built, the match
-comes first: every indexed instance is non-planar and 3-connected, so a
-match implies both gates, and only an unmatched input runs them and the
-verdict.  Until the index is built, which costs far more than deciding
+list of the matched class is the full list of matching specs.  The
+index is the one store of family instances: a class also keeps each
+spec's graph and, once `verify` asks, its oracle spectrum.
+Almost-planarity and the prediction are invariant under isomorphism:
+a matched input takes the verdict and the prediction of its class,
+each computed once and cached, and an unmatched input is decided on
+its own graph.  Once the index for the input's vertex count is built,
+the match comes first: every indexed instance is non-planar and
+3-connected, so a match implies both gates, and only an unmatched
+input runs them and the verdict.  Until the index is built, which costs far more than deciding
 one input, the order is gates, verdict, then the index build and the
 match, so a negative input never builds it.  The family registry does
 not cover every 3-connected almost-planar graph (it misses 3 of the 20
@@ -33,7 +35,7 @@ from .families import (
     FamilySpec, family_of, instances, spec_is_4_connected, spec_to_json
 )
 from .graph import Edge, Graph, _colored_isomorphism, _refine_colors, is_k_connected
-from .oracle import CycleSpectrum
+from .oracle import CycleSpectrum, cycle_spectrum
 from .planarity import almost_planar_verdict, is_planar
 
 DEFAULT_CLASSIFY_CAP = 12
@@ -101,14 +103,25 @@ class Classification:
 
 @dataclass(frozen=True)
 class IsoClass:
-    """One isomorphism class of family instances: the graph of its first
-    spec, that graph's refinement colours, and all of the class's specs,
-    in match-priority order.  The class's refinement rounds are its
-    bucket key in the index."""
+    """One isomorphism class of family instances: all of the class's
+    specs, in match-priority order, the graph of each, and the
+    refinement colours of the first graph, the class graph.  The class's
+    refinement rounds are its bucket key in the index."""
 
-    graph: Graph
-    colors: Mapping[int, int]
     specs: tuple[FamilySpec, ...]
+    graphs: tuple[Graph, ...]
+    colors: Mapping[int, int]
+
+    @property
+    def graph(self) -> Graph:
+        """The class graph, which queries are matched against."""
+        return self.graphs[0]
+
+    @cached_property
+    def spectrum(self) -> CycleSpectrum:
+        """The oracle spectrum of every graph in the class, searched once
+        on the class graph: cycle lengths are isomorphism invariants."""
+        return cycle_spectrum(self.graph)
 
     @cached_property
     def predicted(self) -> Prediction:
@@ -139,21 +152,22 @@ def _candidates(n: int, include_bicycle: bool = True) -> Index:
     index = _indexes.get((n, include_bicycle))
     if index is not None:
         return index
-    buckets: dict[tuple, list[tuple[Graph, dict[int, int], list[FamilySpec]]]] = {}
+    buckets: dict[tuple, list[tuple[list[FamilySpec], list[Graph], dict[int, int]]]] = {}
     for spec, g in instances(n, include_bicycle):
         colors, rounds = _refine_colors(g)
         bucket = buckets.setdefault((g.n, g.m, rounds), [])
-        for rep, rep_colors, specs in bucket:
-            if _colored_isomorphism(rep, rep_colors, g, colors) is not None:
+        for specs, graphs, rep_colors in bucket:
+            if _colored_isomorphism(graphs[0], rep_colors, g, colors) is not None:
                 specs.append(spec)
+                graphs.append(g)
                 break
         else:
-            bucket.append((g, colors, [spec]))
+            bucket.append(([spec], [g], colors))
     index = _indexes[(n, include_bicycle)] = MappingProxyType(
         {
             sig: tuple(
-                IsoClass(rep, MappingProxyType(colors), tuple(specs))
-                for rep, colors, specs in bucket
+                IsoClass(tuple(specs), tuple(graphs), MappingProxyType(colors))
+                for specs, graphs, colors in bucket
             )
             for sig, bucket in buckets.items()
         }

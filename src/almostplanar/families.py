@@ -19,9 +19,9 @@ Every per-family fact lives in one place.  The registry ``FAMILIES``
 holds each family's name, spec type (its fields are the parameters),
 vertex count and generator; :func:`generate` and :func:`spec_to_json`
 read from it.  :func:`instances` is the one enumeration of the family
-instances on n vertices.  Cycle spectra and builders sit in one table,
-``constructive.SPECTRA``, so adding a family touches the registry plus
-one spectral entry.  3-connectivity is decided from the spec, never
+instances on n vertices, uncached: classify's index is their store.
+Cycle spectra and builders sit in ``constructive.SPECTRA``, so adding
+a family touches the registry plus one spectral entry.  3-connectivity is decided from the spec, never
 tested: by :func:`bicycle_is_3_connected` for a bicycle minor, by
 construction for the rest.  Every other structural fact of a bicycle
 minor comes from its spoke pattern too, in O(n) and with its proof
@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
 
@@ -519,7 +519,6 @@ def _pattern_orbit(state: str) -> set[str]:
     return orbit
 
 
-@lru_cache(maxsize=None)
 def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
     """All 3-connected non-planar spoke-deletion specs of B_n.
 
@@ -627,7 +626,6 @@ _CHORD_SUBSETS = tuple(
 )
 
 
-@lru_cache(maxsize=None)
 def fan_instances(n: int) -> tuple[tuple[FamilySpec, Graph], ...]:
     """Every H1, then H2, instance on n vertices: all fan lengths with
     p + q + r = n - 3 and all chord deletions.
@@ -651,7 +649,6 @@ def fan_instances(n: int) -> tuple[tuple[FamilySpec, Graph], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def instances(
     n: int, include_bicycle: bool = True
 ) -> tuple[tuple[FamilySpec, Graph], ...]:

@@ -95,29 +95,29 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(g.n, g.edges - {e})
 
 
-def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Identify the endpoints of e and renumber to 1..n-1.
+def contracted_edges(edges: Iterable[Edge], e: Edge) -> set[Edge]:
+    """The edge set left when the edge e = (lo, hi), lo < hi, of a graph
+    with edges `edges` is contracted: the merged vertex keeps lo and
+    vertices above hi shift down by one.  Loops are dropped and parallel
+    edges collapse, which leaves planarity and cycle lengths >= 3
+    unchanged."""
+    lo, hi = e
+    pairs = set()
+    for u, v in edges:
+        a = lo if u == hi else u - (u > hi)
+        b = lo if v == hi else v - (v > hi)
+        if a != b:
+            pairs.add((a, b) if a < b else (b, a))
+    return pairs
 
-    The merged vertex keeps min(u, v); vertices above max(u, v) shift
-    down by one.  Loops are dropped and parallel edges collapse, which
-    leaves planarity and cycle lengths >= 3 unchanged.
-    """
+
+def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """Identify the endpoints of e and renumber to 1..n-1, by the rule
+    of `contracted_edges`."""
     e = edge(*e)
     if e not in g.edges:
         raise ValueError(f"no such edge: {e}")
-    lo, hi = e
-
-    def remap(w: int) -> int:
-        if w == hi:
-            return lo
-        return w - 1 if w > hi else w
-
-    new_edges = set()
-    for u, v in g.edges:
-        a, b = remap(u), remap(v)
-        if a != b:
-            new_edges.add(edge(a, b))
-    return Graph(g.n - 1, frozenset(new_edges))
+    return Graph(g.n - 1, frozenset(contracted_edges(g.edges, e)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .graph import Edge, Graph, is_connected
+from .graph import Edge, Graph, contracted_edges, is_connected
 
 
 def _lr_planar(n: int, adj: Sequence[Sequence[int]]) -> bool:
@@ -263,17 +263,8 @@ def _deletion(codes: bytes, i: int) -> bytes:
 
 def _contraction(edges: Iterable[Edge], e: Edge) -> bytes:
     """The key of the graph with edges `edges` whose edge e is
-    contracted, under the convention of `graph.contract_edge`: the
-    merged vertex keeps min(u, v), vertices above max(u, v) shift down
-    by one, loops are dropped and parallel edges merge."""
-    lo, hi = e
-    pairs = set()
-    for u, v in edges:
-        a = lo if u == hi else u - (u > hi)
-        b = lo if v == hi else v - (v > hi)
-        if a != b:
-            pairs.add((a, b) if a < b else (b, a))
-    return _pack_edges(sorted(pairs))
+    contracted, by the rule that `graph.contract_edge` also follows."""
+    return _pack_edges(sorted(contracted_edges(edges, e)))
 
 
 @lru_cache(maxsize=262144)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from . import constructive, errata, families, oracle, planarity
-from .classify import GATE_ALMOST_PLANAR
+from .classify import GATE_ALMOST_PLANAR, IsoClass, _candidates
 from .classify import classify as classify_graph
+from .errors import OracleCapError
 from .graph import (
     Graph,
     are_isomorphic,
@@ -46,22 +46,15 @@ def _fail(name: str, detail: str, g: Optional[Graph] = None) -> CheckResult:
 # -- shared corpus ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def family_corpus(n_max: int) -> tuple[tuple[families.FamilySpec, Graph], ...]:
-    """Every generated 3-connected non-planar family instance with
-    n <= n_max, by n and within each n in match-priority order."""
-    return tuple(
-        itertools.chain.from_iterable(
-            families.instances(n) for n in range(5, n_max + 1)
-        )
-    )
-
-
-@lru_cache(maxsize=None)
-def corpus_spectra(n_max: int) -> dict[families.FamilySpec, frozenset[int]]:
-    return {
-        spec: oracle.cycle_spectrum(g).lengths for spec, g in family_corpus(n_max)
-    }
+def _corpus(n_max: int) -> list[IsoClass]:
+    """The isomorphism classes of the family instances with n <= n_max,
+    from classify's index.  An n_max over the oracle cap is refused
+    before the bicycle sweep runs over its 3^(n-2) spoke patterns."""
+    cap = oracle.oracle_cap()
+    if n_max > cap:
+        raise OracleCapError(f"corpus too large for oracle: max_n={n_max} > cap {cap}")
+    indexes = (_candidates(n) for n in range(5, n_max + 1))
+    return [cls for index in indexes for bucket in index.values() for cls in bucket]
 
 
 # -- criteria ---------------------------------------------------------------------
@@ -192,19 +185,18 @@ def criterion_main_equivalence(max_n: Optional[int] = None) -> CheckResult:
     """Pancyclic iff a triangle exists, over the whole corpus."""
     name = "pancyclic-iff-triangle"
     n_max = 12 if max_n is None else max_n
-    spectra = corpus_spectra(n_max)
-    for spec, g in family_corpus(n_max):
-        lengths = spectra[spec]
-        pancyclic = lengths == frozenset(range(3, g.n + 1))
+    classes = _corpus(n_max)
+    for cls in classes:
+        lengths, pancyclic = cls.spectrum.lengths, cls.spectrum.pancyclic
         if pancyclic != (3 in lengths):
             return _fail(
                 name,
-                f"{spec}: pancyclic={pancyclic} but triangle={3 in lengths}",
-                g,
+                f"{cls.specs[0]}: pancyclic={pancyclic} but triangle={3 in lengths}",
+                cls.graph,
             )
     return CheckResult(
-        name, True, f"{len(spectra)} instances n<={n_max}: "
-        "pancyclic <=> 3 in spectrum, zero exceptions"
+        name, True, f"{sum(len(cls.specs) for cls in classes)} instances "
+        f"n<={n_max}: pancyclic <=> 3 in spectrum, zero exceptions"
     )
 
 
@@ -217,16 +209,16 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
     """
     name = "almost-planarity"
     n_max = 12 if max_n is None else max_n
-    corpus = family_corpus(n_max)
-    for spec, g in corpus:
-        cls = classify_graph(g, cap=max(n_max, 12))
-        if cls.gate != GATE_ALMOST_PLANAR:
-            return _fail(name, f"{spec}: gate {cls.gate}", g)
-        if cls.matched_spec is None:
+    members = [m for cls in _corpus(n_max) for m in zip(cls.specs, cls.graphs)]
+    for spec, g in members:
+        res = classify_graph(g, cap=max(n_max, 12))
+        if res.gate != GATE_ALMOST_PLANAR:
+            return _fail(name, f"{spec}: gate {res.gate}", g)
+        if res.matched_spec is None:
             return _fail(name, f"{spec}: matched no family instance", g)
-        back = families.generate(cls.matched_spec).graph
-        if back.relabel(cls.iso_map) != g:
-            return _fail(name, f"{spec}: round-trip mismatch via {cls.matched_spec}", g)
+        back = families.generate(res.matched_spec).graph
+        if back.relabel(res.iso_map) != g:
+            return _fail(name, f"{spec}: round-trip mismatch via {res.matched_spec}", g)
     k6 = Graph.from_edges(6, itertools.combinations(range(1, 7), 2))
     if planarity.almost_planar_verdict(k6)[0]:
         return _fail(name, "K6 reported almost-planar", k6)
@@ -248,7 +240,7 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
         if planarity.almost_planar_verdict(g)[0]:
             return _fail(name, "disconnected graph reported almost-planar", g)
     return CheckResult(
-        name, True, f"{len(corpus)} instances almost-planar; K6/planar/"
+        name, True, f"{len(members)} instances almost-planar; K6/planar/"
         "disconnected rejected; classification round-trips"
     )
 
@@ -267,13 +259,13 @@ def criterion_iso_anchors(max_n: Optional[int] = None) -> CheckResult:
         return _fail(name, "A_6 != K33")
     for n in range(6, n_hi + 1):
         want = families.gen_bicycle(n - 1).graph
+        b_n = families.gen_bicycle(n).graph
         hub_s, hub_t = n, n - 1
         for i in range(2, n - 1):
-            g = families.gen_bicycle(n).graph
             # Deleting the spokes at rim vertex i first, then contracting
             # the rim edge into i-1, realizes the one-step reduction to
             # B_{n-1} under the simple-graph convention.
-            g = delete_edge(g, edge(hub_s, i))
+            g = delete_edge(b_n, edge(hub_s, i))
             g = delete_edge(g, edge(hub_t, i))
             g = contract_edge(g, edge(i - 1, i))
             if not are_isomorphic(g, want):
@@ -288,21 +280,23 @@ def criterion_builder_oracle(max_n: Optional[int] = None) -> CheckResult:
     """Constructive spectra equal oracle spectra with validated witnesses."""
     name = "builder-oracle-equivalence"
     n_max = 12 if max_n is None else max_n
-    spectra = corpus_spectra(n_max)
     count = 0
-    for spec, g in family_corpus(n_max):
-        built = constructive.constructive_spectrum(spec)
-        count += 1
-        if built.lengths != spectra[spec]:
-            return _fail(
-                name,
-                f"{spec}: constructive {sorted(built.lengths)} != "
-                f"oracle {sorted(spectra[spec])}",
-                g,
-            )
-        for length, seq in built.witnesses.items():
-            if not oracle.validate_cycle(g, seq, length):
-                return _fail(name, f"{spec}: witness for {length} invalid", g)
+    for cls in _corpus(n_max):
+        lengths = cls.spectrum.lengths
+        for spec, g in zip(cls.specs, cls.graphs):
+            built = constructive.constructive_spectrum(spec)
+            count += 1
+            if built.lengths != lengths:
+                return _fail(
+                    name,
+                    f"{spec}: constructive {sorted(built.lengths)} != "
+                    f"oracle {sorted(lengths)}",
+                    g,
+                )
+            # the spec's own graph: its labels are the witnesses' labels
+            for length, seq in built.witnesses.items():
+                if not oracle.validate_cycle(g, seq, length):
+                    return _fail(name, f"{spec}: witness for {length} invalid", g)
     return CheckResult(
         name, True, f"{count} specs n<={n_max}: constructive == oracle, "
         "every witness validates"

@@ -1,14 +1,12 @@
 """Acceptance suite: every criterion runs its full stated range and
 prints one pass/fail line.
 
-The heavy shared work is cached, so the criteria that sweep the corpus
-share one computation: the family instances on each n are built once
-by ``families.instances`` (which the classifier groups into isomorphism
-classes), and the verify module caches the corpus up to 12 vertices and
-its oracle spectra.  The classifier gates on planarity and
-3-connectivity, then matches (deciding the input first only while the
-index for its order is not built); the almost-planarity criterion
-therefore decides each isomorphism class once, through the cached
+The criteria that sweep the corpus share one computation: classify's
+index builds the family instances on each n once, groups them into
+isomorphism classes and keeps each class's member graphs and, on first
+use, its oracle spectrum, so each class's spectrum is searched once.
+Every classify query of the almost-planarity criterion matches a built
+index, so it decides each isomorphism class once, through the cached
 verdict of the class graph, instead of each spec.
 """
 

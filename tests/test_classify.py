@@ -35,12 +35,15 @@ from almostplanar.graph import Graph, _refine_colors, are_isomorphic
 from almostplanar.oracle import cycle_spectrum
 from almostplanar.planarity import almost_planar_verdict
 
+from corpus import corpus, corpus_graphs
+
 # The package re-exports the function ``classify`` under the submodule's name.
 classify_module = importlib.import_module("almostplanar.classify")
 families_module = importlib.import_module("almostplanar.families")
 graph_module = importlib.import_module("almostplanar.graph")
 verify_module = importlib.import_module("almostplanar.verify")
 planarity_module = importlib.import_module("almostplanar.planarity")
+oracle_module = importlib.import_module("almostplanar.oracle")
 
 
 def test_planar_gate():
@@ -342,36 +345,39 @@ def test_almost_planarity_criterion_op_counts(monkeypatch):
 
     monkeypatch.setattr(verify_module, "classify_graph", counted)
     assert verify_module.criterion_almost_planarity(9).passed
-    corpus = verify_module.family_corpus(9)
-    assert len(queries) == len(corpus) == 488
-    paying = {}
-    for n in range(5, 10):
-        rows = [(refined, passes) for q_n, refined, passes in queries if q_n == n]
-        # the cold query refines itself and every instance on n vertices;
-        # each warm one refines only itself
-        assert [refined for refined, _ in rows] == [len(instances(n)) + 1] + [1] * (
-            len(rows) - 1
-        )
-        paying.update({(n, i): passes for i, (_, passes) in enumerate(rows) if passes})
-    # Only the cold query of each n runs a DFS pass: the 3-connectivity
-    # gate, n passes.  The prediction of the class of B_n, the one
-    # 4-connected instance, comes from its spec and runs none.
-    assert paying == {(n, 0): n for n in range(5, 10)}
-    assert (len(refinements), len(dfs_passes)) == (976, 35)
-    # From cold planarity caches: the packed minor keys hit exactly where
-    # keys holding the minor graphs did.
+    assert len(queries) == len(corpus(9)) == 488
+    # The criterion reads its corpus from the index, so every query is
+    # warm: it refines only itself, matches, and runs no gate.  The
+    # index build refines each instance once.
+    assert {(refined, passes) for _, refined, passes in queries} == {(1, 0)}
+    assert (len(refinements), len(dfs_passes)) == (976, 0)
+    # From cold planarity caches, only the verdicts of the class graphs
+    # test planarity.
     planar = planarity_module._planar_cached.cache_info()
-    assert (planar.hits, planar.misses, len(lr_tests)) == (2048, 2684, 2658)
+    assert (planar.hits, planar.misses, len(lr_tests)) == (2043, 2684, 2658)
+
+
+def test_theorems_suite_searches_one_spectrum_per_class(monkeypatch):
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    searched = _count_calls(monkeypatch, oracle_module, "cycle_spectrum")
+    monkeypatch.setattr(classify_module, "cycle_spectrum", oracle_module.cycle_spectrum)
+    assert all(res.passed for res in verify_module.run_suite("theorems", 9))
+    classes = [
+        cls
+        for n in range(5, 10)
+        for bucket in classify_module._candidates(n).values()
+        for cls in bucket
+    ]
+    assert (len(classes), sum(len(cls.specs) for cls in classes)) == (203, 488)
+    # one per class, shared by pancyclic-iff-triangle and
+    # builder-oracle-equivalence, plus the errata ledger's 5 cycle checks
+    assert len(searched) == 208
+    assert searched[:203] == [cls.graph for cls in classes]
 
 
 def test_cold_classify_b10_lr_test_count(monkeypatch):
-    for cached in (
-        planarity_module._planar_cached,
-        planarity_module.almost_planar_verdict,
-        families_module.instances,
-        families_module.enumerate_b_minors,
-    ):
-        cached.cache_clear()
+    planarity_module._planar_cached.cache_clear()
+    planarity_module.almost_planar_verdict.cache_clear()
     monkeypatch.setattr(classify_module, "_indexes", {})
     lr_tests = _count_lr_tests(monkeypatch)
     assert classify(gen_bicycle(10).graph).gate == GATE_ALMOST_PLANAR
@@ -440,8 +446,7 @@ def _differential_inputs(draw) -> Graph:
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         chosen = draw(st.sets(st.sampled_from(pairs), max_size=3 * n)) if pairs else ()
         return Graph(n, frozenset(chosen))
-    pool = [g for n in range(5, 10) for _, g in instances(n)]
-    g = draw(st.sampled_from(pool))
+    g = draw(st.sampled_from(corpus_graphs(9)))
     free = sorted(set(itertools.combinations(g.vertices(), 2)) - g.edges)
     if kind == "mutant" and free:
         drop = draw(st.sampled_from(g.sorted_edges()))

@@ -16,6 +16,7 @@ import almostplanar
 from almostplanar import cli
 from almostplanar import verify as verify_mod
 from almostplanar.classify import DEFAULT_CLASSIFY_CAP
+from almostplanar.errors import OracleCapError
 from almostplanar.families import gen_bicycle, gen_k33_chain, gen_mobius
 from almostplanar.graph import (
     MAX_VERTICES,
@@ -245,6 +246,32 @@ def test_verify_theorems_suite_small(capsys):
     assert "PASS  almost-planarity" in out
     assert "PASS  builder-oracle-equivalence" in out
     assert "PASS  errata-ledger" in out
+
+
+def _no_corpus_build(*args):
+    raise AssertionError("corpus built above the oracle cap")
+
+
+def test_verify_max_n_over_the_oracle_cap_exits_3_before_building(capsys, monkeypatch):
+    # Left to run, the corpus criteria would sweep 3^(n-2) spoke patterns
+    # per n up to 19 before the oracle refused the first n over its cap.
+    monkeypatch.delenv("APK_ORACLE_CAP", raising=False)
+    monkeypatch.setattr(verify_mod, "_candidates", _no_corpus_build)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorems", "--max-n", "19")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: corpus too large for oracle: max_n=19 > cap 18\n"
+
+
+@pytest.mark.parametrize(
+    "criterion", ["pancyclic-iff-triangle", "almost-planarity", "builder-oracle-equivalence"]
+)
+def test_corpus_criteria_refuse_max_n_over_the_oracle_cap(monkeypatch, criterion):
+    monkeypatch.setenv("APK_ORACLE_CAP", "8")
+    monkeypatch.setattr(verify_mod, "_candidates", _no_corpus_build)
+    with pytest.raises(OracleCapError, match="max_n=9 > cap 8"):
+        dict(verify_mod.CRITERIA)[criterion](9)
 
 
 @pytest.mark.parametrize("max_n", ["0", "-1"])

@@ -35,7 +35,8 @@ from almostplanar.families import (
 )
 from almostplanar.graph import Graph, are_isomorphic, edge, is_k_connected
 from almostplanar.planarity import almost_planar_verdict, is_planar
-from almostplanar.verify import family_corpus
+
+from corpus import corpus
 
 graph_module = importlib.import_module("almostplanar.graph")
 planarity_module = importlib.import_module("almostplanar.planarity")
@@ -271,7 +272,7 @@ def test_attach_fan_rejects_bad_triangles():
     ],
 )
 def test_spec_json_round_trip(spec):
-    specs = [spec] if spec is not None else [s for s, _ in family_corpus(10)]
+    specs = [spec] if spec is not None else [s for s, _ in corpus(10)]
     for s in specs:
         data = spec_to_json(s)
         family = family_of(s)
@@ -338,8 +339,8 @@ def test_family_instances_make_no_connectivity_pass(monkeypatch):
         return lr_planar(n, adj)
 
     monkeypatch.setattr(planarity_module, "_lr_planar", counted_lr)
-    assert len(enumerate_b_minors.__wrapped__(9)) == 95
-    assert fan_instances.__wrapped__(10)
+    assert len(enumerate_b_minors(9)) == 95
+    assert fan_instances(10)
     minor = Bicycle(
         120,
         removed_s=frozenset(range(3, 119, 3)),

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from almostplanar import cli, constructive, verify
+from almostplanar import cli, constructive
 from almostplanar.classify import _candidates, classify
 from almostplanar.families import (
     CHORD_NAMES,
@@ -42,6 +42,8 @@ from almostplanar.families import (
     spec_to_json,
 )
 from almostplanar.graph import Graph, format_edge_list
+
+from corpus import corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(p.name for p in GOLDEN.glob("*"))
@@ -99,7 +101,7 @@ def classify_sweep_digest() -> dict:
     """classify JSON of every corpus instance with n <= 9, each under a
     relabelling seeded by its spec, in spec order."""
     rows = []
-    for spec, g in verify.family_corpus(9):
+    for spec, g in corpus(9):
         key = json.dumps(spec_to_json(spec), sort_keys=True)
         perm = list(g.vertices())
         random.Random(key).shuffle(perm)
@@ -128,7 +130,7 @@ def classify_mutant_digest() -> dict:
     for n in range(5, 10):
         _candidates(n)
     rows = []
-    for spec, g in verify.family_corpus(9):
+    for spec, g in corpus(9):
         key = json.dumps(spec_to_json(spec), sort_keys=True)
         mutant = moved_edge_mutant(g, random.Random(f"moved:{key}"))
         rows.append([key, format_edge_list(mutant), classify(mutant).to_json()])

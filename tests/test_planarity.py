@@ -26,6 +26,7 @@ from almostplanar.planarity import (
     is_planar,
 )
 
+from corpus import corpus_graphs
 from kuratowski import is_planar_kuratowski
 
 
@@ -199,8 +200,7 @@ def test_lr_planar_agrees_with_networkx_on_corpus_minors():
 def _near_family_graph(draw) -> Graph:
     """A relabelled family instance on at most 8 vertices with up to two
     edges toggled, so positives and near misses both occur."""
-    pool = [g for n in range(5, 9) for _, g in instances(n)]
-    g = draw(st.sampled_from(pool))
+    g = draw(st.sampled_from(corpus_graphs(8)))
     pairs = list(itertools.combinations(g.vertices(), 2))
     toggled = draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))
     g = Graph(g.n, g.edges.symmetric_difference(toggled))
@@ -271,7 +271,7 @@ def test_is_planar_hits_the_keys_of_the_verdicts_minors(k6):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_packed_minors_of_relabelled_and_mutated_instances(data):
-    g = data.draw(st.sampled_from([g for n in range(5, 10) for _, g in instances(n)]))
+    g = data.draw(st.sampled_from(corpus_graphs(9)))
     free = sorted(set(itertools.combinations(g.vertices(), 2)) - g.edges)
     if free and data.draw(st.booleans()):
         drop = data.draw(st.sampled_from(g.sorted_edges()))
