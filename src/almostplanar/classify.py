@@ -11,15 +11,21 @@ spec's graph and, once `verify` asks, its oracle spectrum.
 Almost-planarity and the prediction are invariant under isomorphism:
 a matched input takes the verdict and the prediction of its class,
 each computed once and cached, and an unmatched input is decided on
-its own graph.  Once the index for the input's vertex count is built,
-the match comes first: every indexed instance is non-planar and
-3-connected, so a match implies both gates, and only an unmatched
-input runs them and the verdict.  Until the index is built, which costs far more than deciding
-one input, the order is gates, verdict, then the index build and the
-match, so a negative input never builds it.  The family registry does
-not cover every 3-connected almost-planar graph (it misses 3 of the 20
-classes on 7 vertices), so an unmatched graph that is almost-planar
-gets the gate `almost-planar` with no spec, map or prediction.
+its own graph.  A class inherits its verdict from the full instance of
+its first spec's family (B_n for a bicycle minor, all three chords for
+the K33 chains and fan families), which spans the class graph on the
+same labels: one walk of each full instance decides every class under
+it, and the cover relation is checked at run time, so the verdict is
+always the one a walk of the class graph gives.  Once the index for the
+input's vertex count is built, the match comes first: every indexed
+instance is non-planar and 3-connected, so a match implies both gates,
+and only an unmatched input runs them and the verdict.  Until the index
+is built, which costs far more than deciding one input, the order is
+gates, verdict, then the index build and the match, so a negative input
+never builds it.  The family registry does not cover every 3-connected
+almost-planar graph (it misses 3 of the 20 classes on 7 vertices), so
+an unmatched graph that is almost-planar gets the gate `almost-planar`
+with no spec, map or prediction.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from typing import Mapping, Optional
 from .constructive import predicted_lengths
 from .errors import OracleCapError
 from .families import (
-    FamilySpec, family_of, instances, spec_is_4_connected, spec_to_json
+    FamilySpec, family_of, generate, instances, spec_is_4_connected, spec_to_json
 )
 from .graph import Edge, Graph, _colored_isomorphism, _refine_colors, is_k_connected
 from .oracle import CycleSpectrum, cycle_spectrum
-from .planarity import almost_planar_verdict, is_planar
+from .planarity import almost_planar_verdict, almost_planar_verdict_within, is_planar
 
 DEFAULT_CLASSIFY_CAP = 12
 
@@ -122,6 +128,19 @@ class IsoClass:
         """The oracle spectrum of every graph in the class, searched once
         on the class graph: cycle lengths are isomorphism invariants."""
         return cycle_spectrum(self.graph)
+
+    @cached_property
+    def verdict(self) -> tuple[bool, Optional[Edge]]:
+        """The almost-planarity verdict of every graph in the class,
+        decided once on the class graph: almost-planarity is an
+        isomorphism invariant.  The class graph is the graph of its first
+        spec, which spans that family's full instance on the same
+        labels, so the verdict is read from the full instance's walk,
+        shared by every class under it, and never differs from a walk of
+        the class graph's own edges."""
+        spec = self.specs[0]
+        full = generate(family_of(spec).full(spec)).graph
+        return almost_planar_verdict_within(self.graph, full)
 
     @cached_property
     def predicted(self) -> Prediction:
@@ -217,9 +236,9 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
     if warm:
         # Every indexed instance is non-planar and 3-connected, so a match
         # passes both gates, and almost-planarity is invariant under
-        # isomorphism, so it takes the cached verdict of its class graph.
+        # isomorphism, so it takes the cached verdict of its class.
         found = _match(_candidates(g.n, include_bicycle), g)
-        if found is not None and almost_planar_verdict(found[0].graph)[0]:
+        if found is not None and found[0].verdict[0]:
             return _matched(*found)
 
     if is_planar(g):

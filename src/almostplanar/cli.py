@@ -46,10 +46,33 @@ _SET_OPTIONS = {
 }
 
 
+# The integer options, kept as text by the parser and read by main, so
+# that a malformed value ends like any invalid value: exit 2 and one
+# error: line.
+_INTEGER_OPTIONS = ("k", "n", "p", "q", "r", "cap", "max_n")
+
+
+def _digits(text: str, what: str) -> int:
+    """An integer read like an edge-list number: ASCII digits only, where
+    int() would also take a sign, underscores, spaces and other scripts'
+    digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _read_integer_options(args: argparse.Namespace) -> None:
+    for name in _INTEGER_OPTIONS:
+        text = getattr(args, name, None)
+        if isinstance(text, str):
+            setattr(args, name, _digits(text, "--" + name.replace("_", "-")))
+
+
 def _parse_list(text: str, kind: type) -> frozenset:
+    items = (tok.strip() for tok in text.split(","))
     if kind is int:
-        return frozenset(int(tok) for tok in text.split(",") if tok)
-    return frozenset(tok.strip() for tok in text.split(",") if tok.strip())
+        return frozenset(_digits(tok, "spoke indices") for tok in items if tok)
+    return frozenset(tok for tok in items if tok)
 
 
 def _family_choices() -> list[str]:
@@ -197,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=_family_choices(),
     )
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--n", type=int)
+    gen.add_argument("--k")
+    gen.add_argument("--n")
     gen.add_argument("--remove-s", default="", help="comma-separated spoke indices")
     gen.add_argument("--remove-t", default="", help="comma-separated spoke indices")
-    gen.add_argument("--p", type=int)
-    gen.add_argument("--q", type=int)
-    gen.add_argument("--r", type=int)
+    gen.add_argument("--p")
+    gen.add_argument("--q")
+    gen.add_argument("--r")
     gen.add_argument("--delete", default="", help="subset of ab,bc,ac")
     gen.add_argument("--extra", default="", help="subset of ab,bc,ac (k33chain)")
     gen.add_argument("--out", help="output file prefix")
@@ -216,19 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["oracle", "constructive", "both"], default="oracle"
     )
     spectrum.add_argument("--witnesses", action="store_true")
-    spectrum.add_argument("--cap", type=int, default=None)
+    spectrum.add_argument("--cap")
     spectrum.set_defaults(func=cmd_spectrum)
 
     cls = sub.add_parser("classify", help="classify a graph")
     cls.add_argument("input", help="edge-list file or - for stdin")
-    cls.add_argument("--cap", type=int, default=DEFAULT_CLASSIFY_CAP)
+    cls.add_argument("--cap", default=DEFAULT_CLASSIFY_CAP)
     cls.set_defaults(func=cmd_classify)
 
     ver = sub.add_parser("verify", help="run the acceptance criteria")
     ver.add_argument(
         "--suite", choices=sorted(verify_mod.SUITES), default="all"
     )
-    ver.add_argument("--max-n", type=int, default=None)
+    ver.add_argument("--max-n")
     ver.add_argument("--out-dir", default=".", help="where to write counterexamples")
     ver.set_defaults(func=cmd_verify)
 
@@ -244,6 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _read_integer_options(args)
         return args.func(args)
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

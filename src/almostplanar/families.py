@@ -17,9 +17,15 @@ the constructive cycle builders rely on.
 
 Every per-family fact lives in one place.  The registry ``FAMILIES``
 holds each family's name, spec type (its fields are the parameters),
-vertex count and generator; :func:`generate` and :func:`spec_to_json`
-read from it.  :func:`instances` is the one enumeration of the family
-instances on n vertices, uncached: classify's index is their store.
+vertex count, full-instance rule and generator; :func:`generate` and
+:func:`spec_to_json` read from it.  The full-instance rule names, for
+any spec, the family instance whose graph contains the spec's graph on
+the same labels (B_n for a bicycle minor, all chords kept for the K33
+chains and fan families).  The classifier walks only the full
+instances for almost-planarity: a spanning subgraph inherits that each
+edge deletes or contracts to a planar graph.  :func:`instances` is the
+one enumeration of the family instances on n vertices, uncached:
+classify's index is their store.
 Cycle spectra and builders sit in ``constructive.SPECTRA``, so adding
 a family touches the registry plus one spectral entry.  3-connectivity is decided from the spec, never
 tested: by :func:`bicycle_is_3_connected` for a bicycle minor, by
@@ -552,15 +558,24 @@ def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
 
 @dataclass(frozen=True)
 class Family:
-    """One family's name, spec type, vertex count and generator.
+    """One family's name, spec type, vertex count, full-instance rule and
+    generator.
 
     The spec type's fields are the family's parameters in JSON and CLI
     order, and the generator takes them positionally in that order.
+    ``full`` names the spec of the family's full instance over a spec:
+    on the generator's labels, the spec's graph is a spanning subgraph
+    of the full instance's graph.  A bicycle minor is B_n less some
+    spokes; an H1/H2 instance is its fans on K33 with all three chords,
+    less the deleted chords, which ``_gen_h`` removes after the fans are
+    grown, so the labels agree; a K33 chain is K33 plus some of the
+    three chords; a Möbius ladder and a wheel are their own.
     """
 
     name: str
     spec_type: type
     vertex_count: Callable[[FamilySpec], int]
+    full: Callable[[FamilySpec], FamilySpec]
     build: Callable[..., LabeledInstance]
 
     @cached_property
@@ -577,17 +592,33 @@ def _fan_vertex_count(spec: Union[H1, H2]) -> int:
     return spec.p + spec.q + spec.r + 3
 
 
+def _itself(spec: FamilySpec) -> FamilySpec:
+    return spec
+
+
+def _full_bicycle(spec: Bicycle) -> Bicycle:
+    return Bicycle(spec.n)
+
+
+def _all_chords(spec: K33Chain) -> K33Chain:
+    return K33Chain(frozenset(CHORD_NAMES))
+
+
+def _no_chord_deleted(spec: Union[H1, H2]) -> Union[H1, H2]:
+    return replace(spec, deleted=frozenset())
+
+
 # The generators are stored as objects: none is an entry point that
 # perfbench/tracer.py rebinds (``generate`` is, and stays a module function).
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("mobius", Mobius, lambda spec: 2 * spec.k, gen_mobius),
-        Family("bicycle", Bicycle, lambda spec: spec.n, gen_bicycle),
-        Family("wheel", Wheel, lambda spec: spec.n, gen_wheel),
-        Family("k33chain", K33Chain, lambda spec: 6, gen_k33_chain),
-        Family("h1", H1, _fan_vertex_count, gen_h1),
-        Family("h2", H2, _fan_vertex_count, gen_h2),
+        Family("mobius", Mobius, lambda spec: 2 * spec.k, _itself, gen_mobius),
+        Family("bicycle", Bicycle, lambda spec: spec.n, _full_bicycle, gen_bicycle),
+        Family("wheel", Wheel, lambda spec: spec.n, _itself, gen_wheel),
+        Family("k33chain", K33Chain, lambda spec: 6, _all_chords, gen_k33_chain),
+        Family("h1", H1, _fan_vertex_count, _no_chord_deleted, gen_h1),
+        Family("h2", H2, _fan_vertex_count, _no_chord_deleted, gen_h2),
     )
 }
 

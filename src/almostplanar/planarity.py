@@ -4,7 +4,8 @@ A non-planar graph is almost-planar when, for every edge, deleting or
 contracting that edge yields a planar graph.  `almost_planar_verdict`
 decides it, stops at the first edge that fails both tests and reports
 that edge; it is the one decision that classification and verification
-read.
+read.  `almost_planar_verdict_within` returns the same verdict for a
+spanning subgraph of an almost-planar graph without walking its edges.
 
 The per-call planarity test is the package's own left-right test
 (Brandes, "The Left-Right Planarity Test", 2009, after de Fraysseix,
@@ -313,3 +314,25 @@ def almost_planar_verdict(g: Graph) -> tuple[bool, Optional[Edge]]:
         if not _planar_cached(g.n, _deletion(codes, i)):
             return False, e
     return True, None
+
+
+def almost_planar_verdict_within(g: Graph, cover: Graph) -> tuple[bool, Optional[Edge]]:
+    """Exactly ``almost_planar_verdict(g)``, read from the verdict of a
+    cover when the cover is almost-planar and spans g: same vertex
+    count, every edge of g an edge of the cover.
+
+    Proof.  Let e be an edge of g.  It is an edge of the cover, so
+    cover - e or cover / e is planar.  g - e is a subgraph of cover - e.
+    g / e is a subgraph of cover / e: `graph.contracted_edges` maps each
+    edge by one rule that depends only on e, so it maps g's edges
+    into the image of the cover's.  A subgraph of a planar graph is
+    planar, so no edge of g fails both tests, the walk of
+    `almost_planar_verdict(g)` finds no failing edge, and its verdict
+    is whether g is non-planar and connected, with no edge.
+
+    Otherwise g gets its own walk.  The cover relation is checked here,
+    so a wrong cover costs a walk, never a wrong verdict.
+    """
+    if g.n == cover.n and g.edges <= cover.edges and almost_planar_verdict(cover)[0]:
+        return not is_planar(g) and is_connected(g), None
+    return almost_planar_verdict(g)

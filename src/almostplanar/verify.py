@@ -205,7 +205,10 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
     classification round-trips.
 
     Every instance's verdict comes through classify, which decides
-    almost-planarity once per isomorphism class.
+    almost-planarity once per isomorphism class and reads it from one
+    walk of the full instance over the class graph (B_n for a bicycle
+    minor, all chords for the fan families), shared by every class
+    under it.
     """
     name = "almost-planarity"
     n_max = 12 if max_n is None else max_n

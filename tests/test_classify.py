@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -24,6 +25,7 @@ from almostplanar.families import (
     Bicycle,
     K33Chain,
     Mobius,
+    Wheel,
     a_graph_spec,
     gen_bicycle,
     gen_mobius,
@@ -351,10 +353,76 @@ def test_almost_planarity_criterion_op_counts(monkeypatch):
     # index build refines each instance once.
     assert {(refined, passes) for _, refined, passes in queries} == {(1, 0)}
     assert (len(refinements), len(dfs_passes)) == (976, 0)
-    # From cold planarity caches, only the verdicts of the class graphs
-    # test planarity.
+    # From cold planarity caches, only the class verdicts test planarity:
+    # each class graph's own planarity, and the full walks, one per full
+    # instance that some class's first spec lies under (B_n, V_2k, the
+    # H1/H2 instances with every chord) and one per negative anchor.
     planar = planarity_module._planar_cached.cache_info()
-    assert (planar.hits, planar.misses, len(lr_tests)) == (2043, 2684, 2658)
+    assert (planar.hits, planar.misses, len(lr_tests)) == (170, 409, 394)
+    assert planarity_module.almost_planar_verdict.cache_info().misses == 23
+
+
+def _fresh_classes(monkeypatch, n_max: int) -> list:
+    """The classes with n <= n_max of a new index, with cold planarity
+    and verdict caches."""
+    planarity_module._planar_cached.cache_clear()
+    planarity_module.almost_planar_verdict.cache_clear()
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    return [
+        cls
+        for n in range(5, n_max + 1)
+        for bucket in classify_module._candidates(n).values()
+        for cls in bucket
+    ]
+
+
+def _full_graph(cls) -> Graph:
+    spec = cls.specs[0]
+    return generate(families_module.family_of(spec).full(spec)).graph
+
+
+def test_class_verdicts_equal_the_full_walk(monkeypatch):
+    classes = _fresh_classes(monkeypatch, 10)
+    assert len(classes) == 502
+    walked = _count_calls(monkeypatch, planarity_module, "almost_planar_verdict")
+    verdicts = [cls.verdict for cls in classes]
+    # only the full instances are walked, each once
+    fulls = {_full_graph(cls) for cls in classes}
+    assert len(fulls) == 27 and set(walked) == fulls
+    assert almost_planar_verdict.cache_info().misses == 27
+    for cls in classes:
+        assert cls.graph.n == _full_graph(cls).n
+        assert cls.graph.edges <= _full_graph(cls).edges
+    assert verdicts == [almost_planar_verdict(cls.graph) for cls in classes]
+
+
+def test_a_wrong_full_instance_rule_costs_a_walk_not_a_verdict(monkeypatch):
+    # The wrong rule sends each class's first spec to another class's on
+    # the same vertex count whose graph does not contain it, or to the
+    # (planar) wheel when there is none.
+    by_n: dict[int, list] = {}
+    for cls in _fresh_classes(monkeypatch, 10):
+        by_n.setdefault(cls.graph.n, []).append(cls)
+    wrong = {}
+    for n, classes in by_n.items():
+        for cls in classes:
+            wrong[cls.specs[0]] = next(
+                (
+                    other.specs[0]
+                    for other in classes
+                    if not cls.graph.edges <= other.graph.edges
+                ),
+                Wheel(n),
+            )
+    for spec_type, family in families_module._BY_SPEC_TYPE.items():
+        monkeypatch.setitem(
+            families_module._BY_SPEC_TYPE, spec_type, replace(family, full=wrong.get)
+        )
+    classes = _fresh_classes(monkeypatch, 10)
+    walked = _count_calls(monkeypatch, planarity_module, "almost_planar_verdict")
+    verdicts = [cls.verdict for cls in classes]
+    assert set(walked) >= {cls.graph for cls in classes}
+    assert verdicts == [almost_planar_verdict(cls.graph) for cls in classes]
 
 
 def test_theorems_suite_searches_one_spectrum_per_class(monkeypatch):

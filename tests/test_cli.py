@@ -336,6 +336,36 @@ def test_unknown_flag_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "bicycle", "--n", "12", "--remove-s", "\u0663"],
+        ["gen", "--family", "bicycle", "--n", "12", "--remove-t", "+2"],
+        ["gen", "--family", "bicycle", "--n", "12", "--remove-s", "2,1_0"],
+        ["gen", "--family", "h1", "--p", "1_0", "--q", "1", "--r", "1"],
+        ["gen", "--family", "h2", "--p", "1", "--q", "-1", "--r", "1"],
+        ["gen", "--family", "mobius", "--k", "\u0663"],
+        ["gen", "--family", "bicycle", "--n", "+8"],
+        ["gen", "--family", "a", "--n", " 8"],
+        ["classify", "-", "--cap", "-1"],
+        ["spectrum", "-", "--cap", "1_2"],
+        ["verify", "--max-n", "+6"],
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be ASCII digits, got" in err
+
+
+def test_spoke_lists_ignore_spaces_and_empty_items(capsys):
+    base = ["gen", "--family", "bicycle", "--n", "8", "--remove-t", "3"]
+    assert run_cli(capsys, *base, "--remove-s", "2,4")[:2] == run_cli(
+        capsys, *base, "--remove-s", " 2, 4,,"
+    )[:2]
+
+
 def test_import_and_classify_leave_networkx_unloaded(tmp_path):
     # networkx is a test dependency only: the package never imports it
     path = tmp_path / "b7.edges"

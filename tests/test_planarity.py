@@ -23,6 +23,7 @@ from almostplanar.planarity import (
     _planar_cached,
     _unpack_edges,
     almost_planar_verdict,
+    almost_planar_verdict_within,
     is_planar,
 )
 
@@ -230,6 +231,54 @@ def test_verdict_pass_agrees_with_table_and_kuratowski(data):
         )
         want = (failing is None, failing)
     assert verdict == want
+
+
+def _nx_every_edge_deletes_or_contracts_to_planar(G: nx.Graph) -> bool:
+    """Whether, by networkx alone, deleting or contracting each edge of G
+    leaves a planar graph."""
+    for u, v in G.edges:
+        deleted = G.copy()
+        deleted.remove_edge(u, v)
+        contracted = nx.Graph(nx.contracted_edge(G, (u, v), self_loops=False))
+        if not (nx.check_planarity(deleted)[0] or nx.check_planarity(contracted)[0]):
+            return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_spanning_subgraphs_inherit_that_every_edge_deletes_or_contracts_to_planar(
+    data,
+):
+    # The lemma behind `almost_planar_verdict_within`, checked with no
+    # package planarity code.
+    g = data.draw(st.sampled_from(corpus_graphs(8)))
+    removed = data.draw(st.lists(st.sampled_from(g.sorted_edges()), unique=True))
+    G = nx.Graph(g.sorted_edges())
+    G.add_nodes_from(g.vertices())
+    H = G.copy()
+    H.remove_edges_from(removed)
+    if _nx_every_edge_deletes_or_contracts_to_planar(G):
+        assert _nx_every_edge_deletes_or_contracts_to_planar(H)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_verdict_within_a_cover_is_the_verdict(data):
+    # The cover is a family instance, almost-planar, or a near miss that
+    # may not be; g is a spanning subgraph of it, planar and disconnected
+    # ones included, or that plus one edge the cover lacks.
+    if data.draw(st.booleans()):
+        cover = data.draw(st.sampled_from(corpus_graphs(8)))
+    else:
+        cover = _near_family_graph(data.draw)
+    removed = data.draw(st.sets(st.sampled_from(cover.sorted_edges())))
+    edges = cover.edges - removed
+    free = sorted(set(itertools.combinations(cover.vertices(), 2)) - cover.edges)
+    if free and data.draw(st.booleans()):
+        edges |= {data.draw(st.sampled_from(free))}
+    g = Graph(cover.n, edges)
+    assert almost_planar_verdict_within(g, cover) == almost_planar_verdict(g)
 
 
 def test_lr_planar_has_no_depth_limit():
