@@ -657,29 +657,6 @@ _CHORD_SUBSETS = tuple(
 )
 
 
-def fan_instances(n: int) -> tuple[tuple[FamilySpec, Graph], ...]:
-    """Every H1, then H2, instance on n vertices: all fan lengths with
-    p + q + r = n - 3 and all chord deletions.
-
-    None is tested: it is K33 plus its surviving chords (3-connected)
-    with three fans, each subdividing a base edge uv (never a chord) and
-    joining the new vertices to a hub h outside {u, v}, which keeps G
-    3-connected.  Drop two old vertices and G stays connected with uv a
-    path; drop a new one and an old y and G - y - uv stays connected
-    (G - y was 2-connected), the other new vertices reaching h, or u or
-    v if y = h; drop two new ones and G - uv stays connected, the rest
-    reaching h.  The subdivided K33 keeps the graph non-planar.
-    """
-    out = []
-    for spec_type in (H1, H2):
-        for p in range(1, n - 4):
-            for q in range(1, n - 3 - p):
-                for deleted in _CHORD_SUBSETS:
-                    spec = spec_type(p, q, n - 3 - p - q, deleted)
-                    out.append((spec, generate(spec).graph))
-    return tuple(out)
-
-
 def instances(
     n: int, include_bicycle: bool = True
 ) -> tuple[tuple[FamilySpec, Graph], ...]:
@@ -687,15 +664,29 @@ def instances(
     match-priority order: Möbius, bicycle minors, H1, H2, K33 chains.
 
     ``include_bicycle=False`` leaves out the bicycle minors, whose sweep
-    runs over 3^(n-2) spoke patterns.
+    runs over 3^(n-2) spoke patterns.  H1 and H2 take every fan length
+    with p + q + r = n - 3 and every chord deletion.
+
+    None is tested.  An H instance is K33 plus its surviving chords
+    (3-connected) with three fans, each subdividing a base edge uv
+    (never a chord) and joining the new vertices to a hub h outside
+    {u, v}, which keeps G 3-connected.  Drop two old vertices and G
+    stays connected with uv a path; drop a new one and an old y and
+    G - y - uv stays connected (G - y was 2-connected), the other new
+    vertices reaching h, or u or v if y = h; drop two new ones and
+    G - uv stays connected, the rest reaching h.  The subdivided K33
+    keeps the graph non-planar.
     """
     specs: list[FamilySpec] = []
     if n >= 6 and n % 2 == 0:
         specs.append(Mobius(n // 2))
     if n >= 5 and include_bicycle:
         specs += enumerate_b_minors(n, cap=max(n, _B_MINOR_CAP))
-    out = [(spec, generate(spec).graph) for spec in specs]
-    out += fan_instances(n)
+    for spec_type in (H1, H2):
+        for p in range(1, n - 4):
+            for q in range(1, n - 3 - p):
+                for deleted in _CHORD_SUBSETS:
+                    specs.append(spec_type(p, q, n - 3 - p - q, deleted))
     if n == 6:
-        out += [(spec, generate(spec).graph) for spec in map(K33Chain, _CHORD_SUBSETS)]
-    return tuple(out)
+        specs += map(K33Chain, _CHORD_SUBSETS)
+    return tuple((spec, generate(spec).graph) for spec in specs)

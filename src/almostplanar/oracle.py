@@ -190,13 +190,12 @@ def hamiltonian_path(
     g: Graph, u: int, v: int, cap: Optional[int] = None
 ) -> Optional[list[int]]:
     """A spanning path from u to v, or None."""
-    tables = _tables(g, cap)
     if u == v:
         raise ValueError("endpoints must differ")
     for w in (u, v):
         if not 1 <= w <= g.n:
             raise ValueError(f"vertex {w} out of range")
-    return _path(tables, u, v, g.n, 0)
+    return _path(_tables(g, cap), u, v, g.n, 0)
 
 
 def hamiltonian_connectivity(

@@ -4,7 +4,9 @@ Each criterion function recomputes its claim from scratch (generators
 against the exhaustive oracle, builders against the validators) and
 returns a CheckResult; the CLI `verify` command and the acceptance test
 suite both run these.  A failing criterion carries a counterexample
-graph when one exists.
+graph when one exists.  The five criteria over the family instances
+read them only through `_corpus`, from classify's index, and read
+cycle lengths from the one oracle spectrum of each isomorphism class.
 """
 
 from __future__ import annotations
@@ -110,13 +112,14 @@ def criterion_b_hamiltonicity(max_n: Optional[int] = None) -> CheckResult:
     name = "b-minor-hamiltonicity"
     n_hi = 10 if max_n is None else max_n
     count = 0
-    for n in range(6, n_hi + 1):
-        for spec in families.enumerate_b_minors(n, cap=max(n, 12)):
-            inst = families.generate(spec)
+    for cls in _corpus(n_hi):
+        for spec, g in zip(cls.specs, cls.graphs):
+            if not isinstance(spec, families.Bicycle) or spec.n < 6:
+                continue
             count += 1
-            if not oracle.is_hamiltonian(inst.graph):
-                return _fail(name, f"{spec} not Hamiltonian", inst.graph)
-            constructive.b_graph_ham_cycle(inst)  # validates internally
+            if not cls.spectrum.hamiltonian:
+                return _fail(name, f"{spec} not Hamiltonian", g)
+            constructive.b_graph_ham_cycle(families.generate(spec))  # validates
     return CheckResult(
         name, True, f"{count} minors over n=6..{n_hi}: oracle-Hamiltonian "
         "and builder cycles validate"
@@ -162,17 +165,21 @@ def criterion_h_graphs(max_n: Optional[int] = None) -> CheckResult:
     n_cap = 12 if max_n is None else max_n
     k33 = families.gen_k33_chain(()).graph
     checked = 0
-    for n in range(6, min(n_cap, 3 * hi + 3) + 1):
-        for spec, g in families.fan_instances(n):
-            if max(spec.p, spec.q, spec.r) > hi:
-                continue
+    for cls in _corpus(min(n_cap, 3 * hi + 3)):
+        members = [
+            (spec, g)
+            for spec, g in zip(cls.specs, cls.graphs)
+            if isinstance(spec, (families.H1, families.H2))
+            and max(spec.p, spec.q, spec.r) <= hi
+        ]
+        if not members:
+            continue
+        is_k33 = are_isomorphic(cls.graph, k33)
+        for spec, g in members:
             checked += 1
-            pan = oracle.is_pancyclic(g)
-            if are_isomorphic(g, k33):
-                if pan:
-                    return _fail(name, f"{spec} is K33 yet pancyclic?", g)
-            elif not pan:
-                return _fail(name, f"{spec} not pancyclic", g)
+            if cls.spectrum.pancyclic == is_k33:
+                why = "is K33 yet pancyclic?" if is_k33 else "not pancyclic"
+                return _fail(name, f"{spec} {why}", g)
             if spec.deleted == constructive.CHORDS_ALL:
                 constructive.constructive_spectrum(spec)  # validates every witness
     return CheckResult(

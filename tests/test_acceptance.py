@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion runs its full stated range and
 prints one pass/fail line.
 
-The criteria that sweep the corpus share one computation: classify's
-index builds the family instances on each n once, groups them into
+The five criteria that sweep the corpus (b-minor-hamiltonicity,
+h-graphs, pancyclic-iff-triangle, almost-planarity,
+builder-oracle-equivalence) share one computation: classify's index
+builds the family instances on each n once, groups them into
 isomorphism classes and keeps each class's member graphs and, on first
 use, its oracle spectrum, so each class's spectrum is searched once.
 Every classify query of the almost-planarity criterion matches a built

@@ -443,6 +443,53 @@ def test_theorems_suite_searches_one_spectrum_per_class(monkeypatch):
     assert searched[:203] == [cls.graph for cls in classes]
 
 
+def test_all_suite_searches_the_corpus_once_per_class(monkeypatch):
+    # every public oracle call builds the search tables once
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    searched = _count_calls(monkeypatch, oracle_module, "_tables")
+    spans = {}
+
+    def spanned(name, criterion):
+        def run(max_n):
+            start = len(searched)
+            result = criterion(max_n)
+            spans[name] = searched[start:]
+            return result
+
+        return run
+
+    monkeypatch.setattr(
+        verify_module,
+        "CRITERIA",
+        tuple((name, spanned(name, fn)) for name, fn in verify_module.CRITERIA),
+    )
+    assert all(res.passed for res in verify_module.run_suite("all", 9))
+    assert {name: len(calls) for name, calls in spans.items()} == {
+        "mobius-spectra": 3,
+        "four-connected-bicycle": 10,
+        "b-minor-hamiltonicity": 157,
+        "a-family-dichotomy": 14,
+        "h-graphs": 41,
+        "pancyclic-iff-triangle": 5,
+        "almost-planarity": 0,
+        "isomorphism-anchors": 0,
+        "builder-oracle-equivalence": 0,
+        "errata-ledger": 6,
+    }
+    assert len(searched) == 236
+    # the corpus criteria together search each class spectrum once and
+    # nothing else: h-graphs and b-minor-hamiltonicity add no search
+    classes = verify_module._corpus(9)
+    corpus_criteria = (
+        "b-minor-hamiltonicity",
+        "h-graphs",
+        "pancyclic-iff-triangle",
+        "builder-oracle-equivalence",
+    )
+    corpus_searches = [g for name in corpus_criteria for g in spans[name]]
+    assert sorted(map(id, corpus_searches)) == sorted(id(cls.graph) for cls in classes)
+
+
 def test_cold_classify_b10_lr_test_count(monkeypatch):
     planarity_module._planar_cached.cache_clear()
     planarity_module.almost_planar_verdict.cache_clear()

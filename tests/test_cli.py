@@ -265,11 +265,19 @@ def test_verify_max_n_over_the_oracle_cap_exits_3_before_building(capsys, monkey
 
 
 @pytest.mark.parametrize(
-    "criterion", ["pancyclic-iff-triangle", "almost-planarity", "builder-oracle-equivalence"]
+    "criterion",
+    [
+        "b-minor-hamiltonicity",
+        "h-graphs",
+        "pancyclic-iff-triangle",
+        "almost-planarity",
+        "builder-oracle-equivalence",
+    ],
 )
 def test_corpus_criteria_refuse_max_n_over_the_oracle_cap(monkeypatch, criterion):
     monkeypatch.setenv("APK_ORACLE_CAP", "8")
     monkeypatch.setattr(verify_mod, "_candidates", _no_corpus_build)
+    monkeypatch.setattr(verify_mod.families, "generate", _no_corpus_build)
     with pytest.raises(OracleCapError, match="max_n=9 > cap 8"):
         dict(verify_mod.CRITERIA)[criterion](9)
 

@@ -98,6 +98,24 @@ def test_hamiltonian_path_endpoints():
             hamiltonian_path(g, u, v)
 
 
+def test_hamiltonian_path_checks_endpoints_before_the_cap_and_tables(monkeypatch):
+    # B_19 is over the default cap, yet a bad endpoint is a plain
+    # ValueError (OracleCapError subclasses it) and builds no tables
+    monkeypatch.delenv("APK_ORACLE_CAP", raising=False)
+    tables = []
+    monkeypatch.setattr(oracle, "_distances", tables.append)
+    b19 = gen_bicycle(19).graph
+    for u, v, message in ((1, 1, "endpoints must differ"), (0, 5, "vertex 0 out of range")):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            hamiltonian_path(b19, u, v)
+        assert excinfo.type is ValueError
+    with pytest.raises(ValueError, match="out of range"):
+        hamiltonian_path(gen_bicycle(6).graph, 1, 7)
+    assert tables == []
+    with pytest.raises(OracleCapError, match="n=19 > cap 18"):
+        hamiltonian_path(b19, 1, 5)
+
+
 def test_oracle_cap(monkeypatch):
     big = Graph(19, frozenset())
     with pytest.raises(OracleCapError, match="too large"):
