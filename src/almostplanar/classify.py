@@ -194,6 +194,11 @@ def _candidates(n: int, include_bicycle: bool = True) -> Index:
     return index
 
 
+def _is_built(n: int, include_bicycle: bool = True) -> bool:
+    """Whether `_candidates(n, include_bicycle)` is built."""
+    return (n, include_bicycle) in _indexes
+
+
 def _match(index: Index, g: Graph) -> Optional[tuple[IsoClass, dict[int, int]]]:
     """The class of g in the index and an isomorphism from its graph to
     g, or None; g is refined once for the whole bucket."""

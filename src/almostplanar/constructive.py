@@ -1,10 +1,11 @@
 """Linear-time cycle builders for every family, one per explicit construction.
 
-Each builder assembles a vertex sequence directly from the instance's
-role labels in O(n) and gates it through the validators before
-returning; a builder that cannot produce a valid sequence raises, it
-never emits an unchecked cycle.  The test suite checks every builder
-against the exhaustive oracle.
+Each builder assembles a vertex sequence in O(n) by arithmetic on the
+family's vertex numbering (see `families`), reading no role map, and
+gates it through the validators before returning; a builder that
+cannot produce a valid sequence raises, it never emits an unchecked
+cycle.  The test suite checks every builder against the exhaustive
+oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .families import (
     bicycle_is_3_connected,
     bicycle_is_bipartite,
     bicycle_is_planar,
+    chord_edge,
+    fan_vertex,
     family_of,
     generate,
     rim_index,
@@ -280,9 +283,9 @@ def wheel_cycle(inst: LabeledInstance, length: int) -> list[int]:
 # -- fan families ----------------------------------------------------------------
 
 
-def _h_parts(inst: LabeledInstance, length: int) -> tuple[FamilySpec, dict[str, int]]:
-    """Spec and role map of a fully-deleted H1/H2 instance that may have
-    a cycle of the requested length."""
+def _h_parts(inst: LabeledInstance, length: int) -> FamilySpec:
+    """Spec of a fully-deleted H1/H2 instance that may have a cycle of the
+    requested length."""
     spec = _require_family(inst, H1, H2)
     if spec.deleted != CHORDS_ALL:
         raise ValueError("cycle builders operate on the fully-deleted variant")
@@ -292,17 +295,24 @@ def _h_parts(inst: LabeledInstance, length: int) -> tuple[FamilySpec, dict[str, 
         raise NotInSpectrumError(
             "H(1,1,1) minus all chords is K_{3,3}: only lengths 4 and 6"
         )
-    return spec, inst.role_to_vertex
+    return spec
 
 
 def _is_k33_degenerate(spec: FamilySpec) -> bool:
     return (spec.p, spec.q, spec.r) == (1, 1, 1) and spec.deleted == CHORDS_ALL
 
 
-def _fan_run(rv: dict[str, int], prefix: str, lo: int, hi: int) -> list[int]:
-    """Vertices prefix{lo}..prefix{hi} (descending when lo > hi)."""
-    step = 1 if hi >= lo else -1
-    return [rv[f"{prefix}{i}"] for i in range(lo, hi + step, step)]
+def _fan_run(spec: FamilySpec, prefix: str, lo: int, hi: int) -> list[int]:
+    """Vertices prefix{lo}..prefix{hi} (descending when lo > hi): one range
+    over the `fan_vertex` numbering, in which prefix2, prefix3, ... are
+    consecutive, plus prefix1 at whichever end the run reaches 1."""
+    one = fan_vertex(spec, prefix, 1)
+    base = fan_vertex(spec, prefix, 2) - 2  # prefix{i} is base + i for i >= 2
+    if hi >= lo:
+        run = list(range(base + max(lo, 2), base + hi + 1))
+        return [one] + run if lo == 1 else run
+    run = list(range(base + lo, base + max(hi, 2) - 1, -1))
+    return run + [one] if hi == 1 else run
 
 
 def h1_cycle(inst: LabeledInstance, length: int) -> list[int]:
@@ -313,32 +323,21 @@ def h1_cycle(inst: LabeledInstance, length: int) -> list[int]:
     view cannot reach use the dedicated fan-to-fan cycles; the full
     length is the standard Hamiltonian cycle.
     """
-    spec, rv = _h_parts(inst, length)
+    spec = _h_parts(inst, length)
     p, q, r = spec.p, spec.q, spec.r
     n = inst.graph.n
-    a, b, c = rv["a"], rv["b"], rv["c"]
+    a, b, c = 1, 2, 3  # the K33 numbering of families
     g = inst.graph
+    run = partial(_fan_run, spec)
+    vertex = partial(fan_vertex, spec)
 
     if length == n:
-        seq = (
-            _fan_run(rv, "x", 1, p)
-            + [a]
-            + _fan_run(rv, "z", r, 1)
-            + [c]
-            + _fan_run(rv, "y", q, 1)
-            + [b]
-        )
+        seq = run("x", 1, p) + [a] + run("z", r, 1) + [c] + run("y", q, 1) + [b]
         return _gate_cycle(g, seq, length)
 
     # Wheel view: rim path x1..xp, a, zr..z1, c, yq..y1 with hub b; spokes
     # to every x, y, z vertex but not to a or c.
-    rim = (
-        _fan_run(rv, "x", 1, p)
-        + [a]
-        + _fan_run(rv, "z", r, 1)
-        + [c]
-        + _fan_run(rv, "y", q, 1)
-    )
+    rim = run("x", 1, p) + [a] + run("z", r, 1) + [c] + run("y", q, 1)
     banned = {p, p + r + 1}  # 0-based positions of a and c
     width = length - 1
     for start in range(len(rim) - width + 1):
@@ -348,25 +347,21 @@ def h1_cycle(inst: LabeledInstance, length: int) -> list[int]:
 
     rows: list[list[int]] = []
     if length == p + 2 and p >= 2:
-        rows.append([b] + _fan_run(rv, "x", 2, p) + [a, rv[f"z{r}"]])
+        rows.append([b] + run("x", 2, p) + [a, vertex("z", r)])
     if length == q + 2 and q >= 2:
-        rows.append([b] + _fan_run(rv, "y", 2, q) + [c, rv["z1"]])
+        rows.append([b] + run("y", 2, q) + [c, vertex("z", 1)])
     if length == r + 2 and r >= 2:
-        rows.append([b] + _fan_run(rv, "z", 2, r) + [a, rv[f"x{p}"]])
+        rows.append([b] + run("z", 2, r) + [a, vertex("x", p)])
     if length == q + r + 1 and q >= 2:
-        rows.append([b] + _fan_run(rv, "y", 2, q) + [c] + _fan_run(rv, "z", 1, r))
+        rows.append([b] + run("y", 2, q) + [c] + run("z", 1, r))
     if length == p + q + 1 and p >= 2:
-        rows.append([b] + _fan_run(rv, "x", 2, p) + [a] + _fan_run(rv, "y", 1, q))
+        rows.append([b] + run("x", 2, p) + [a] + run("y", 1, q))
     if length == p + r + 1 and p >= 2:
-        rows.append([b] + _fan_run(rv, "x", 2, p) + [a] + _fan_run(rv, "z", r, 1))
+        rows.append([b] + run("x", 2, p) + [a] + run("z", r, 1))
     if length == r + 4 and p == 1 and q == 1 and r >= 2:
         # Both end fans have length 1, so no wheel window reaches n-1.
         # Route through the hub inside the z fan instead.
-        rows.append(
-            [rv["y1"], a]
-            + _fan_run(rv, "z", r, 2)
-            + [b, rv["z1"], c]
-        )
+        rows.append([vertex("y", 1), a] + run("z", r, 2) + [b, vertex("z", 1), c])
     for seq in rows:
         if validate_cycle(g, seq, length):
             return seq
@@ -382,21 +377,16 @@ def h2_cycle(inst: LabeledInstance, length: int) -> list[int]:
     y vertices via their hub b and trailing z vertices via their hub a.
     Lengths 3..5 come from within single fans.
     """
-    spec, rv = _h_parts(inst, length)
+    spec = _h_parts(inst, length)
     p, q, r = spec.p, spec.q, spec.r
     n = inst.graph.n
-    a, b, c = rv["a"], rv["b"], rv["c"]
+    a, b, c = 1, 2, 3  # the K33 numbering of families
     g = inst.graph
+    run = partial(_fan_run, spec)
+    vertex = partial(fan_vertex, spec)
 
     if length == n:
-        seq = (
-            [a]
-            + _fan_run(rv, "x", p, 1)
-            + [b]
-            + _fan_run(rv, "y", 1, q)
-            + [c]
-            + _fan_run(rv, "z", 1, r)
-        )
+        seq = [a] + run("x", p, 1) + [b] + run("y", 1, q) + [c] + run("z", 1, r)
     elif length >= 6:
         skip = n - length
         i = min(skip, p - 1)
@@ -405,30 +395,30 @@ def h2_cycle(inst: LabeledInstance, length: int) -> list[int]:
         assert k <= r - 1
         seq = (
             [a]
-            + _fan_run(rv, "z", r - k, 1)
+            + run("z", r - k, 1)
             + [c]
-            + _fan_run(rv, "y", q, j + 1)
+            + run("y", q, j + 1)
             + [b]
-            + _fan_run(rv, "x", i + 1, p)
+            + run("x", i + 1, p)
         )
     elif length == 3:
         if p >= 2:
-            seq = [b, rv["x1"], rv["x2"]]
+            seq = [b] + run("x", 1, 2)
         elif q >= 2:
-            seq = [b, rv["y1"], rv["y2"]]
+            seq = [b] + run("y", 1, 2)
         elif r >= 2:
-            seq = [a, rv["z1"], rv["z2"]]
+            seq = [a] + run("z", 1, 2)
         else:
             raise NotInSpectrumError("no triangle: all fans have length 1")
     elif length == 4:
-        seq = [a, rv["y1"], b, rv[f"x{p}"]]
+        seq = [a, vertex("y", 1), b, vertex("x", p)]
     else:  # length == 5
         if p >= 2:
-            seq = [a, rv[f"x{p}"], rv[f"x{p - 1}"], b, rv["y1"]]
+            seq = [a] + run("x", p, p - 1) + [b, vertex("y", 1)]
         elif q >= 2:
-            seq = [c, rv[f"y{q}"], rv[f"y{q - 1}"], b, rv["x1"]]
+            seq = [c] + run("y", q, q - 1) + [b, vertex("x", 1)]
         elif r >= 2:
-            seq = [b, rv[f"z{r}"], rv[f"z{r - 1}"], a, rv["y1"]]
+            seq = [b] + run("z", r, r - 1) + [a, vertex("y", 1)]
         else:
             raise NotInSpectrumError("no 5-cycle: all fans have length 1")
     return _gate_cycle(g, seq, length)
@@ -439,11 +429,9 @@ def h2_cycle(inst: LabeledInstance, length: int) -> list[int]:
 
 def k33_chain_cycle(inst: LabeledInstance, length: int) -> list[int]:
     """Cycle in K_{3,3} plus chords; odd lengths need at least one chord."""
-    rv = inst.role_to_vertex
     g = inst.graph
-    present = [name for name in CHORD_NAMES if g.has_edge(rv[name[0]], rv[name[1]])]
-    a, b, c = rv["a"], rv["b"], rv["c"]
-    x1, y1, z1 = rv["x1"], rv["y1"], rv["z1"]
+    a, b, c, x1, y1, z1 = range(1, 7)  # the K33 numbering of families
+    present = [name for name in CHORD_NAMES if chord_edge(name) in g.edges]
     if length == 4:
         seq = [a, x1, b, y1]
     elif length == 6:

@@ -12,18 +12,21 @@ Families covered:
   type-1 fan attachment.
 
 Each generator returns a :class:`LabeledInstance`: the graph plus role
-labels tying vertices and edges to the family's standard names, which
-the constructive cycle builders rely on.
+labels tying vertices and edges to the family's standard names.  The
+generator writes only the edge set, by index arithmetic, and builds the
+graph from it unchecked; the role maps are computed from the spec when
+first read.  The cycle builders read neither: they work on the vertex
+numbering fixed below.
 
 Every per-family fact lives in one place.  The registry ``FAMILIES``
 holds each family's name, spec type (its fields are the parameters),
-vertex count, full-instance rule and generator; :func:`generate` and
-:func:`spec_to_json` read from it.  The full-instance rule names, for
-any spec, the family instance whose graph contains the spec's graph on
-the same labels (B_n for a bicycle minor, all chords kept for the K33
-chains and fan families).  The classifier walks only the full
-instances for almost-planarity: a spanning subgraph inherits that each
-edge deletes or contracts to a planar graph.  :func:`instances` is the
+vertex count, full-instance rule, generator and role rule;
+:func:`generate` and :func:`spec_to_json` read from it.  The
+full-instance rule names, for any spec, the family instance whose graph
+contains the spec's graph on the same labels (B_n for a bicycle minor,
+all chords kept for the K33 chains and fan families).  The classifier
+walks only the full instances for almost-planarity: a spanning subgraph
+inherits that each edge deletes or contracts to a planar graph.  :func:`instances` is the
 one enumeration of the family instances on n vertices, uncached:
 classify's index is their store.
 Cycle spectra and builders sit in ``constructive.SPECTRA``, so adding
@@ -52,15 +55,18 @@ Label conventions fixed here (and relied on everywhere else):
   cycle listings for V_2k (even-length ladders, the Hamiltonian cycle,
   and the odd-length crossing cycles for even k) hold verbatim, and
   V_6 comes out exactly K_{3,3}.
+* K33 chains and fan families: a, b, c are vertices 1, 2, 3 and x1,
+  y1, z1 are 4, 5, 6; the fans of H1/H2 add x2..xp, y2..yq, z2..zr in
+  that order from vertex 7 (:func:`fan_vertex`).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .graph import Edge, Graph, edge
@@ -120,14 +126,45 @@ FamilySpec = Union[Mobius, Bicycle, Wheel, K33Chain, H1, H2]
 # -- labeled instances ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
-    """A graph together with role labels for vertices and edges."""
+RoleMaps = tuple[dict[int, str], dict[Edge, str]]
 
-    graph: Graph
-    family: Optional[FamilySpec]
-    vertex_roles: dict[int, str] = field(default_factory=dict)
-    edge_roles: dict[Edge, str] = field(default_factory=dict)
+
+class LabeledInstance:
+    """A graph together with role labels for vertices and edges.
+
+    The generators build only the graph.  An instance of a family spec
+    computes both role maps from its spec, by the family's ``roles``
+    rule, the first time either is read, and keeps them; maps passed in
+    are kept as given.  An instance with neither a spec nor maps has
+    none.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        family: Optional[FamilySpec],
+        vertex_roles: Optional[dict[int, str]] = None,
+        edge_roles: Optional[dict[Edge, str]] = None,
+    ) -> None:
+        self.graph = graph
+        self.family = family
+        if vertex_roles is not None or edge_roles is not None:
+            self.__dict__["_roles"] = (vertex_roles or {}, edge_roles or {})
+
+    @cached_property
+    def _roles(self) -> RoleMaps:
+        if self.family is None:
+            return {}, {}
+        return family_of(self.family).roles(self.family)
+
+    @property
+    def vertex_roles(self) -> dict[int, str]:
+        return self._roles[0]
+
+    @property
+    def edge_roles(self) -> dict[Edge, str]:
+        """The role of every edge; its keys are the edge set."""
+        return self._roles[1]
 
     @cached_property
     def role_to_vertex(self) -> dict[str, int]:
@@ -168,25 +205,52 @@ def graph_to_dot(g: Graph) -> str:
 # -- Möbius ladders ------------------------------------------------------------
 
 
+def _vertex_run(first: int, last: int) -> list[int]:
+    """The vertices first..last as a list, so that the edges written from
+    it share one int object per vertex (a range makes a new one on each
+    pass, up to three per vertex)."""
+    return list(range(first, last + 1))
+
+
+def _edge_set(*parts: Iterable[Edge]) -> frozenset[Edge]:
+    """The pairs of all parts as a frozenset.  Copied from a set, it is
+    sized to its contents; grown straight from an iterator it can take
+    twice the memory, which classify's index would hold per instance."""
+    return frozenset(set(itertools.chain(*parts)))
+
+
+def _mobius_twists(k: int) -> tuple[Edge, ...]:
+    return (1, k), (k + 1, 2 * k), (k - 1, 2 * k), (k, 2 * k - 1)
+
+
 def gen_mobius(k: int) -> LabeledInstance:
     """Möbius ladder V_2k, labeled 1..k left and k+1..2k right."""
     if k < 3:
         raise ValueError("Möbius ladder needs k >= 3")
     n = 2 * k
+    left, right = _vertex_run(1, k), _vertex_run(k + 1, n)
+    # Every pair below is written smaller end first, so none needs edge().
+    edges = _edge_set(
+        zip(left[:-2], left[1:-1]),  # left rail
+        zip(right[:-2], right[1:-1]),  # right rail
+        zip(left, right),  # rungs
+        _mobius_twists(k),
+    )
+    return LabeledInstance(Graph._trusted(n, edges), Mobius(k))
+
+
+def _mobius_roles(spec: Mobius) -> RoleMaps:
+    k = spec.k
     vroles = {i: f"ladder-left-{i}" for i in range(1, k + 1)}
     vroles.update({k + i: f"ladder-right-{i}" for i in range(1, k + 1)})
-    # Every pair below is written smaller end first, so none needs edge().
     eroles: dict[Edge, str] = {}
     for i in range(1, k - 1):
         eroles[i, i + 1] = "ladder-side"
         eroles[k + i, k + i + 1] = "ladder-side"
     for i in range(1, k + 1):
         eroles[i, k + i] = "ladder-rung"
-    for e in ((1, k), (k + 1, 2 * k), (k - 1, 2 * k), (k, 2 * k - 1)):
-        eroles[e] = "ladder-twist"
-    return LabeledInstance(
-        Graph(n, frozenset(eroles)), Mobius(k), vroles, eroles
-    )
+    eroles.update(dict.fromkeys(_mobius_twists(k), "ladder-twist"))
+    return vroles, eroles
 
 
 # -- bicycle wheels ------------------------------------------------------------
@@ -201,17 +265,27 @@ def rim_index(n: int, i: int) -> int:
 # A bicycle spec's spoke pattern is its rim word, one letter per rim
 # vertex 1..n-2: B keeps both spokes, S only the s-spoke, T only the
 # t-spoke, N neither.  Every structural fact of a minor is read from it.
-def _rim_word(spec: Bicycle) -> str:
-    """The rim word of a bicycle spec, its letter indexed by whether the
-    vertex keeps its s-spoke, then its t-spoke; a spec with n < 5 or a
-    spoke index off the rim is an error."""
-    n, rs, rt = spec.n, spec.removed_s, spec.removed_t
+def _check_bicycle(spec: Bicycle) -> None:
+    """Raise for a bicycle spec with n < 5 or a spoke index off the rim."""
+    n = spec.n
     if n < 5:
         raise ValueError("bicycle wheel needs n >= 5")
-    for i in rs | rt:
+    for i in spec.removed_s | spec.removed_t:
         if not 1 <= i <= n - 2:
             raise ValueError(f"spoke index {i} out of range 1..{n - 2}")
-    return "".join(("NT", "SB")[i not in rs][i not in rt] for i in range(1, n - 1))
+
+
+def _rim_word(spec: Bicycle) -> str:
+    """The rim word of a bicycle spec, B where no spoke is removed; a spec
+    that fails `_check_bicycle` is an error."""
+    _check_bicycle(spec)
+    rs, rt = spec.removed_s, spec.removed_t
+    letters = ["B"] * (spec.n - 2)
+    for i in rs:
+        letters[i - 1] = "T"
+    for i in rt:
+        letters[i - 1] = "N" if i in rs else "S"
+    return "".join(letters)
 
 
 def _bicycle_from_pattern(n: int, state: str) -> Bicycle:
@@ -291,7 +365,7 @@ def gen_bicycle(
     """Bicycle wheel B_n with optional spoke removals; a pattern that
     breaks :func:`bicycle_is_3_connected` is an error."""
     spec = Bicycle(n, frozenset(removed_s), frozenset(removed_t))
-    word = spec.rim_word
+    _check_bicycle(spec)
     if not bicycle_is_3_connected(spec):
         raise ValueError(
             "violates 3-connectivity precondition: every rim vertex needs a "
@@ -301,18 +375,33 @@ def gen_bicycle(
     # Rim vertices sit below both hubs, so every pair below is written
     # smaller end first and none needs edge().
     hub_s, hub_t = n, n - 1
+    rim = _vertex_run(1, n - 2)
+    keeps_s = itertools.filterfalse(spec.removed_s.__contains__, rim)
+    keeps_t = itertools.filterfalse(spec.removed_t.__contains__, rim)
+    edges = _edge_set(
+        zip(rim, rim[1:]),  # r_1..r_{n-3}
+        ((1, n - 2), (hub_t, hub_s)),  # r_{n-2} and the axle z
+        zip(keeps_s, itertools.repeat(hub_s)),
+        zip(keeps_t, itertools.repeat(hub_t)),
+    )
+    return LabeledInstance(Graph._trusted(n, edges), spec)
+
+
+def _bicycle_roles(spec: Bicycle) -> RoleMaps:
+    n = spec.n
+    hub_s, hub_t = n, n - 1
     vroles = {i: f"rim-{i}" for i in range(1, n - 1)}
     vroles[hub_s] = "hub-s"
     vroles[hub_t] = "hub-t"
     eroles: dict[Edge, str] = {(i, i + 1): f"r{i}" for i in range(1, n - 2)}
     eroles[1, n - 2] = f"r{n - 2}"
-    for i, letter in enumerate(word, 1):
+    for i, letter in enumerate(spec.rim_word, 1):
         if letter in "BS":
             eroles[i, hub_s] = f"s{i}"
         if letter in "BT":
             eroles[i, hub_t] = f"t{i}"
     eroles[hub_t, hub_s] = "z"
-    return LabeledInstance(Graph(n, frozenset(eroles)), spec, vroles, eroles)
+    return vroles, eroles
 
 
 def a_graph_spec(n: int) -> Bicycle:
@@ -336,6 +425,17 @@ def gen_wheel(n: int) -> LabeledInstance:
     """Wheel on n vertices: hub n joined to the rim cycle 1..n-1."""
     if n < 4:
         raise ValueError("wheel needs n >= 4")
+    rim = _vertex_run(1, n - 1)
+    edges = _edge_set(
+        zip(rim, rim[1:]),  # r_1..r_{n-2}
+        ((1, n - 1),),  # r_{n-1}
+        zip(rim, itertools.repeat(n)),  # the spokes
+    )
+    return LabeledInstance(Graph._trusted(n, edges), Wheel(n))
+
+
+def _wheel_roles(spec: Wheel) -> RoleMaps:
+    n = spec.n
     vroles = {i: f"rim-{i}" for i in range(1, n)}
     vroles[n] = "hub"
     eroles: dict[Edge, str] = {}
@@ -343,24 +443,34 @@ def gen_wheel(n: int) -> LabeledInstance:
         j = i + 1 if i < n - 1 else 1
         eroles[edge(i, j)] = f"r{i}"
         eroles[edge(i, n)] = f"spoke{i}"
-    return LabeledInstance(Graph(n, frozenset(eroles)), Wheel(n), vroles, eroles)
+    return vroles, eroles
 
 
 # -- K33 chain and the fan families --------------------------------------------
 
 
-def _k33_roles(extras: frozenset[str]) -> tuple[dict[int, str], dict[Edge, str]]:
-    """Vertex and edge roles of K_{3,3} on {a,b,c} x {x1,y1,z1} plus the
-    chords named in extras; the edge roles' keys are the edge set."""
-    ids = {"a": 1, "b": 2, "c": 3, "x1": 4, "y1": 5, "z1": 6}
-    vroles = {v: r for r, v in ids.items()}
-    eroles: dict[Edge, str] = {}
-    for left in ("a", "b", "c"):
-        for right in ("x1", "y1", "z1"):
-            eroles[ids[left], ids[right]] = "base"
+# The K33 vertices 1..6 and their roles; a, b, c are one colour class.
+_K33_ROLES = ("a", "b", "c", "x1", "y1", "z1")
+
+
+def chord_edge(name: str) -> Edge:
+    """The edge of a chord, named by its ends among a, b, c."""
+    return _K33_ROLES.index(name[0]) + 1, _K33_ROLES.index(name[1]) + 1
+
+
+def _k33_edges(chords: frozenset[str]) -> list[Edge]:
+    """K_{3,3} on {a,b,c} x {x1,y1,z1} plus the named chords."""
+    base = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]
+    return base + [chord_edge(name) for name in sorted(chords)]
+
+
+def _k33_roles(extras: frozenset[str]) -> RoleMaps:
+    """Vertex and edge roles of K_{3,3} plus the chords named in extras,
+    on the edges of `_k33_edges`."""
+    eroles = dict.fromkeys(_k33_edges(frozenset()), "base")
     for name in sorted(extras):
-        eroles[ids[name[0]], ids[name[1]]] = name
-    return vroles, eroles
+        eroles[chord_edge(name)] = name
+    return dict(enumerate(_K33_ROLES, 1)), eroles
 
 
 def gen_k33_chain(extra_edges: Sequence[str] | frozenset[str] = ()) -> LabeledInstance:
@@ -369,10 +479,22 @@ def gen_k33_chain(extra_edges: Sequence[str] | frozenset[str] = ()) -> LabeledIn
     bad = extras - set(CHORD_NAMES)
     if bad:
         raise ValueError(f"unknown chord names: {sorted(bad)}")
-    vroles, eroles = _k33_roles(extras)
-    return LabeledInstance(
-        Graph(6, frozenset(eroles)), K33Chain(extras), vroles, eroles
-    )
+    graph = Graph._trusted(6, _edge_set(_k33_edges(extras)))
+    return LabeledInstance(graph, K33Chain(extras))
+
+
+def _fan_edges(
+    n: int, hub: int, u: int, v: int, count: int
+) -> tuple[list[Edge], list[Edge]]:
+    """The path v, n+1, ..., n+count, u that replaces the edge uv of an
+    n-vertex graph, and the spokes joining hub to each new vertex.
+
+    The new vertices are numbered above every old one, so each pair is
+    written smaller end first.
+    """
+    new = _vertex_run(n + 1, n + count)
+    path = [(v, new[0]), *zip(new, new[1:]), (u, new[-1])]
+    return path, list(zip(itertools.repeat(hub), new))
 
 
 def _grow_fan(
@@ -384,25 +506,17 @@ def _grow_fan(
     v: int,
     roles: Sequence[str],
 ) -> list[Edge]:
-    """Replace the edge uv of an n-vertex graph by the path v, n+1, ...,
-    n+len(roles), u and join each new vertex to hub, in place on the role
-    maps; returns the new edges.  No roles means no fan, and no change.
-
-    The new vertices are numbered above every old one, so each new pair
-    is written smaller end first.
-    """
+    """Replace the edge uv of an n-vertex graph by the fan of
+    `_fan_edges` with one new vertex per role, in place on the role maps;
+    returns the new edges.  No roles means no fan, and no change."""
     if not roles:
         return []
-    new_ids = range(n + 1, n + len(roles) + 1)
-    vroles.update(zip(new_ids, roles))
+    path, spokes = _fan_edges(n, hub, u, v, len(roles))
+    vroles.update(zip(range(n + 1, n + len(roles) + 1), roles))
     eroles.pop(edge(u, v), None)
-    added = [(v, new_ids[0])]
-    added += zip(new_ids, new_ids[1:])
-    added.append((u, new_ids[-1]))
-    eroles.update(dict.fromkeys(added, "fan-path"))
-    spokes = [(hub, w) for w in new_ids]
+    eroles.update(dict.fromkeys(path, "fan-path"))
     eroles.update(dict.fromkeys(spokes, "fan-spoke"))
-    return added + spokes
+    return path + spokes
 
 
 def attach_fan(
@@ -451,57 +565,80 @@ def attach_fan(
     vroles = dict(inst.vertex_roles)
     eroles = dict(inst.edge_roles)
     added = _grow_fan(vroles, eroles, g.n, hub, u, v, roles)
-    return replace(
-        inst,
-        graph=Graph(g.n + count, (g.edges - {g_edge}).union(added)),
-        vertex_roles=vroles,
-        edge_roles=eroles,
+    graph = Graph._trusted(g.n + count, (g.edges - {g_edge}).union(added))
+    return LabeledInstance(graph, inst.family, vroles, eroles)
+
+
+def _h_fans(spec: Union[H1, H2]) -> tuple[tuple[int, int, int, str, int], ...]:
+    """(hub, u, v, role prefix, length) of the three fans of an H1/H2
+    spec, in the order they are grown, each replacing the edge uv: across
+    a-b-x1 and c-b-y1 with hub b, then across a-b-z1 with hub b for H1
+    and hub a for H2."""
+    a, b, c, x1, y1, z1 = range(1, 7)
+    z_hub, z_end = (b, a) if isinstance(spec, H1) else (a, b)
+    return (
+        (b, a, x1, "x", spec.p),
+        (b, c, y1, "y", spec.q),
+        (z_hub, z_end, z1, "z", spec.r),
     )
 
 
-def _gen_h(spec: Union[H1, H2], third_hub: str) -> LabeledInstance:
-    """K33 with all chords, fans of lengths p, q, r across the triangles
-    a-b-x1 and c-b-y1 (hub b) and a-b-z1 (hub third_hub), then the deleted
-    chords removed.  Each fan is the one attach_fan grows, grown on the
-    role maps so that one Graph is built."""
+def fan_vertex(spec: Union[H1, H2], prefix: str, i: int) -> int:
+    """The vertex of role prefix + str(i) in an H1/H2 instance, for
+    prefix x, y or z and 1 <= i <= that fan's length: x1, y1, z1 are 4,
+    5, 6, and the fans' new vertices follow from 7 in growing order,
+    x2..xp, then y2..yq, then z2..zr."""
+    slot = "xyz".index(prefix)
+    if i == 1:
+        return 4 + slot
+    return 5 + (0, spec.p - 1, spec.p + spec.q - 2)[slot] + i
+
+
+def _gen_h(spec: Union[H1, H2]) -> LabeledInstance:
+    """K33 with all chords, the fans of `_h_fans` grown in order, then the
+    deleted chords removed."""
     if min(spec.p, spec.q, spec.r) < 1:
         raise ValueError("fan lengths p, q, r must be >= 1")
     bad = spec.deleted - set(CHORD_NAMES)
     if bad:
         raise ValueError(f"unknown deletable edges: {sorted(bad)}")
-    vroles, eroles = _k33_roles(frozenset(CHORD_NAMES))
-    rv = {r: v for v, r in vroles.items()}
-    a, b, c = rv["a"], rv["b"], rv["c"]
-    x1, y1, z1 = rv["x1"], rv["y1"], rv["z1"]
-    z_hub = rv[third_hub]
-    z_end = a if z_hub == b else b
-
+    edges = set(_k33_edges(frozenset(CHORD_NAMES)))
     n = 6
-    for hub, u, v, prefix, length in (
-        (b, a, x1, "x", spec.p),
-        (b, c, y1, "y", spec.q),
-        (z_hub, z_end, z1, "z", spec.r),
-    ):
+    for hub, u, v, _, length in _h_fans(spec):
+        if length > 1:
+            path, spokes = _fan_edges(n, hub, u, v, length - 1)
+            edges.remove((u, v))
+            edges.update(path)
+            edges.update(spokes)
+            n += length - 1
+    edges.difference_update(map(chord_edge, spec.deleted))
+    return LabeledInstance(Graph._trusted(n, frozenset(edges)), spec)
+
+
+def _h_roles(spec: Union[H1, H2]) -> RoleMaps:
+    vroles, eroles = _k33_roles(frozenset(CHORD_NAMES))
+    n = 6
+    for hub, u, v, prefix, length in _h_fans(spec):
         roles = [f"{prefix}{i}" for i in range(2, length + 1)]
         _grow_fan(vroles, eroles, n, hub, u, v, roles)
         n += len(roles)
     for name in sorted(spec.deleted):
-        del eroles[edge(rv[name[0]], rv[name[1]])]
-    return LabeledInstance(Graph(n, frozenset(eroles)), spec, vroles, eroles)
+        del eroles[chord_edge(name)]
+    return vroles, eroles
 
 
 def gen_h1(
     p: int, q: int, r: int, deleted: Sequence[str] | frozenset[str] = ()
 ) -> LabeledInstance:
     """H1(p, q, r): three fans on K33''', all hubbed at b."""
-    return _gen_h(H1(p, q, r, frozenset(deleted)), "b")
+    return _gen_h(H1(p, q, r, frozenset(deleted)))
 
 
 def gen_h2(
     p: int, q: int, r: int, deleted: Sequence[str] | frozenset[str] = ()
 ) -> LabeledInstance:
     """H2(p, q, r): like H1 but the third fan is hubbed at a."""
-    return _gen_h(H2(p, q, r, frozenset(deleted)), "a")
+    return _gen_h(H2(p, q, r, frozenset(deleted)))
 
 
 # -- enumeration of bicycle minors ----------------------------------------------
@@ -558,11 +695,14 @@ def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
 
 @dataclass(frozen=True)
 class Family:
-    """One family's name, spec type, vertex count, full-instance rule and
-    generator.
+    """One family's name, spec type, vertex count, full-instance rule,
+    generator and role rule.
 
     The spec type's fields are the family's parameters in JSON and CLI
-    order, and the generator takes them positionally in that order.
+    order, and the generator takes them positionally in that order.  The
+    generator builds the graph alone; ``roles`` gives the vertex and edge
+    role maps of a spec's instance, which the instance computes when
+    they are first read (see `LabeledInstance`).
     ``full`` names the spec of the family's full instance over a spec:
     on the generator's labels, the spec's graph is a spanning subgraph
     of the full instance's graph.  A bicycle minor is B_n less some
@@ -577,6 +717,7 @@ class Family:
     vertex_count: Callable[[FamilySpec], int]
     full: Callable[[FamilySpec], FamilySpec]
     build: Callable[..., LabeledInstance]
+    roles: Callable[[FamilySpec], RoleMaps]
 
     @cached_property
     def params(self) -> tuple[tuple[str, type, bool], ...]:
@@ -613,12 +754,28 @@ def _no_chord_deleted(spec: Union[H1, H2]) -> Union[H1, H2]:
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("mobius", Mobius, lambda spec: 2 * spec.k, _itself, gen_mobius),
-        Family("bicycle", Bicycle, lambda spec: spec.n, _full_bicycle, gen_bicycle),
-        Family("wheel", Wheel, lambda spec: spec.n, _itself, gen_wheel),
-        Family("k33chain", K33Chain, lambda spec: 6, _all_chords, gen_k33_chain),
-        Family("h1", H1, _fan_vertex_count, _no_chord_deleted, gen_h1),
-        Family("h2", H2, _fan_vertex_count, _no_chord_deleted, gen_h2),
+        Family(
+            "mobius", Mobius, lambda spec: 2 * spec.k, _itself, gen_mobius, _mobius_roles
+        ),
+        Family(
+            "bicycle",
+            Bicycle,
+            lambda spec: spec.n,
+            _full_bicycle,
+            gen_bicycle,
+            _bicycle_roles,
+        ),
+        Family("wheel", Wheel, lambda spec: spec.n, _itself, gen_wheel, _wheel_roles),
+        Family(
+            "k33chain",
+            K33Chain,
+            lambda spec: 6,
+            _all_chords,
+            gen_k33_chain,
+            lambda spec: _k33_roles(spec.extra_edges),
+        ),
+        Family("h1", H1, _fan_vertex_count, _no_chord_deleted, gen_h1, _h_roles),
+        Family("h2", H2, _fan_vertex_count, _no_chord_deleted, gen_h2, _h_roles),
     )
 }
 

@@ -46,6 +46,17 @@ class Graph:
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, frozenset(edge(u, v) for u, v in pairs))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """A graph on a frozenset of pairs already known to satisfy
+        1 <= u < v <= n, as a family generator or an operation on a valid
+        graph makes them, built without `__post_init__`'s per-edge check.
+        `Graph(...)`, `from_edges` and `parse_edge_list` keep that check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -82,8 +93,10 @@ class Graph:
             mapping.values()
         ) != list(self.vertices()):
             raise ValueError("mapping is not a bijection on 1..n")
-        return Graph.from_edges(
-            self.n, ((mapping[u], mapping[v]) for u, v in self.edges)
+        # A bijection maps the edges to distinct non-loop pairs on 1..n.
+        pairs = ((mapping[u], mapping[v]) for u, v in self.edges)
+        return Graph._trusted(
+            self.n, frozenset((a, b) if a < b else (b, a) for a, b in pairs)
         )
 
 
@@ -92,7 +105,7 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     e = edge(*e)
     if e not in g.edges:
         raise ValueError(f"no such edge: {e}")
-    return Graph(g.n, g.edges - {e})
+    return Graph._trusted(g.n, g.edges - {e})
 
 
 def contracted_edges(edges: Iterable[Edge], e: Edge) -> set[Edge]:
@@ -117,7 +130,7 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     e = edge(*e)
     if e not in g.edges:
         raise ValueError(f"no such edge: {e}")
-    return Graph(g.n - 1, frozenset(contracted_edges(g.edges, e)))
+    return Graph._trusted(g.n - 1, frozenset(contracted_edges(g.edges, e)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -490,6 +490,35 @@ def test_all_suite_searches_the_corpus_once_per_class(monkeypatch):
     assert sorted(map(id, corpus_searches)) == sorted(id(cls.graph) for cls in classes)
 
 
+def test_verify_suites_build_each_index_once(monkeypatch):
+    builds = []
+    real_instances = classify_module.instances
+
+    def counted(n, include_bicycle=True):
+        builds.append((n, include_bicycle))
+        return real_instances(n, include_bicycle)
+
+    sweeps = []
+    real_sweep = families_module.enumerate_b_minors
+
+    def counted_sweep(n, cap):
+        sweeps.append(n)
+        return real_sweep(n, cap)
+
+    monkeypatch.setattr(classify_module, "instances", counted)
+    monkeypatch.setattr(families_module, "enumerate_b_minors", counted_sweep)
+    # h-graphs reads H1/H2 specs only, so on its own it skips the bicycle
+    # sweep; after the full index of an n is built, it reads that one
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    assert all(res.passed for res in verify_module.run_suite("h", 10))
+    assert (builds, sweeps) == ([(n, False) for n in range(5, 11)], [])
+    builds.clear()
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    assert all(res.passed for res in verify_module.run_suite("all", 10))
+    assert builds == [(n, True) for n in range(5, 11)]
+    assert sweeps == list(range(5, 11))
+
+
 def test_cold_classify_b10_lr_test_count(monkeypatch):
     planarity_module._planar_cached.cache_clear()
     planarity_module.almost_planar_verdict.cache_clear()

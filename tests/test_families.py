@@ -1,18 +1,22 @@
 import importlib
 import itertools
+import json
 import time
 
 import networkx as nx
 import pytest
 
+from almostplanar import constructive
 from almostplanar.constructive import constructive_spectrum, predicted_lengths
 from almostplanar.families import (
+    CHORD_NAMES,
     H1,
     H2,
     Bicycle,
     K33Chain,
     Mobius,
     Wheel,
+    _bicycle_from_pattern,
     a_graph_spec,
     attach_fan,
     bicycle_is_3_connected,
@@ -20,6 +24,7 @@ from almostplanar.families import (
     bicycle_is_planar,
     enumerate_b_minors,
     family_of,
+    fan_vertex,
     gen_a_graph,
     gen_bicycle,
     gen_h1,
@@ -36,6 +41,7 @@ from almostplanar.graph import Graph, are_isomorphic, edge, is_k_connected
 from almostplanar.planarity import almost_planar_verdict, is_planar
 
 from corpus import corpus
+from test_golden import GOLDEN, roles_digest, roles_specs
 
 graph_module = importlib.import_module("almostplanar.graph")
 planarity_module = importlib.import_module("almostplanar.planarity")
@@ -246,17 +252,23 @@ def test_h_generators_grow_the_fans_attach_fan_grows(p, q, r):
     ],
 )
 def test_generate_builds_one_graph(monkeypatch, spec):
-    # every family's generator validates its edges once, in one Graph
-    built = []
-    post_init = Graph.__post_init__
+    # every family's generator builds one Graph, on edges it writes valid
+    # by construction, so no per-edge check runs
+    checked, trusted = [], []
+    post_init, build = Graph.__post_init__, Graph._trusted.__func__
 
-    def counted(self):
-        built.append(self.n)
+    def counted_check(self):
+        checked.append(self.n)
         post_init(self)
 
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    def counted_build(cls, n, edges):
+        trusted.append(n)
+        return build(cls, n, edges)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted_check)
+    monkeypatch.setattr(Graph, "_trusted", classmethod(counted_build))
     inst = generate(spec)
-    assert built == [inst.graph.n]
+    assert (checked, trusted) == ([], [inst.graph.n])
 
 
 def test_attach_fan_rejects_bad_triangles():
@@ -395,3 +407,91 @@ def test_roles_json_and_dot():
     dot = inst.to_dot()
     assert dot.startswith("graph G {")
     assert '5 -- 6 [role="z"]' in dot
+
+
+# -- graphs without per-edge checks and roles on first read --------------------
+
+CHORDS = frozenset(CHORD_NAMES)
+LARGE_N = 1000
+
+# One or more instances of every family at n = 10^3 (a K33 chain has 6
+# vertices), with every shape a builder treats apart.
+LARGE_SPECS = [
+    Mobius(LARGE_N // 2),
+    Bicycle(LARGE_N),
+    a_graph_spec(LARGE_N),
+    _bicycle_from_pattern(LARGE_N, "TS" * (LARGE_N // 2 - 1)),
+    _bicycle_from_pattern(LARGE_N, ("SSTBT" * LARGE_N)[: LARGE_N - 2]),
+    Wheel(LARGE_N),
+    K33Chain(CHORDS),
+    H1(1, 1, 1, frozenset({"ab"})),
+    *(
+        kind(*pqr, CHORDS)
+        for kind in (H1, H2)
+        for pqr in ((1, 1, LARGE_N - 5), (332, 333, 332), (2, 3, LARGE_N - 8))
+    ),
+    H2(2, 3, LARGE_N - 8, frozenset({"bc"})),
+]
+
+
+def _roles_built(inst) -> bool:
+    """Whether inst holds a role map: stored ones sit in its __dict__."""
+    return not inst.__dict__.keys().isdisjoint(
+        ("_roles", "vertex_roles", "edge_roles", "role_to_vertex")
+    )
+
+
+def _run_every_builder(spec, inst) -> int:
+    """Run on inst the builder that constructive_spectrum picks for spec,
+    at every predicted length; for a bicycle minor also its Hamiltonian
+    cycle, and for B_n Hamiltonian paths from each hub and from rim
+    vertex 1.  Returns the number of witnesses built."""
+    build = constructive.SPECTRA[family_of(spec).name].builder(spec, inst)
+    witnesses = [build(length) for length in sorted(predicted_lengths(spec))]
+    if isinstance(spec, Bicycle):
+        witnesses.append(constructive.b_graph_ham_cycle(inst))
+        if spec_is_4_connected(spec):
+            n = spec.n
+            for u, v in itertools.product((1, n - 1, n), (2, n // 2, n - 2, n)):
+                if u != v:
+                    witnesses.append(constructive.bicycle_ham_path(inst, u, v))
+    return len(witnesses)
+
+
+def test_generated_graphs_pass_the_edge_check():
+    # the generators build their graphs unchecked; the checked constructor
+    # must accept every one of them unchanged
+    graphs = [g for _, g in corpus(10)]
+    graphs += [generate(spec).graph for spec in LARGE_SPECS]
+    for g in graphs:
+        assert type(g.edges) is frozenset
+        assert Graph(g.n, g.edges) == g
+
+
+def test_builders_read_no_role_map_and_roles_read_the_golden():
+    insts = [generate(spec) for spec in roles_specs()]
+    for inst in insts:
+        assert not _roles_built(inst)
+        assert _run_every_builder(inst.family, inst)
+        assert not _roles_built(inst), inst.family
+    golden = json.loads((GOLDEN / "roles.json").read_text())
+    assert roles_digest(insts) == golden
+    for inst in insts:
+        assert set(inst.edge_roles) == inst.graph.edges
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS)
+def test_large_instances_build_roles_on_first_read(spec):
+    inst = generate(spec)
+    assert _run_every_builder(spec, inst)
+    assert not _roles_built(inst)
+    g = inst.graph
+    assert set(inst.edge_roles) == g.edges
+    assert set(inst.vertex_roles) == set(g.vertices())
+    assert _roles_built(inst)
+    if isinstance(spec, (H1, H2)):
+        rv = inst.role_to_vertex
+        assert [rv[role] for role in ("a", "b", "c", "x1", "y1", "z1")] == list(range(1, 7))
+        for prefix, length in zip("xyz", (spec.p, spec.q, spec.r)):
+            for i in range(1, length + 1):
+                assert rv[f"{prefix}{i}"] == fan_vertex(spec, prefix, i)

@@ -97,6 +97,21 @@ def instance_digests() -> dict:
     }
 
 
+def roles_specs() -> list:
+    """Every family instance with n <= 9, every K33 chain among them, then
+    the wheels on 4..9 vertices."""
+    specs = [spec for n in range(5, 10) for spec, _ in instances(n)]
+    return specs + list(map(Wheel, range(4, 10)))
+
+
+def roles_digest(insts=None) -> dict:
+    """Count and digest of the role maps (`roles_to_json`) of the instances
+    of `roles_specs()`, in its order, generated here unless given."""
+    if insts is None:
+        insts = map(generate, roles_specs())
+    return _digest([inst.roles_to_json() for inst in insts])
+
+
 def classify_sweep_digest() -> dict:
     """classify JSON of every corpus instance with n <= 9, each under a
     relabelling seeded by its spec, in spec order."""
@@ -289,6 +304,7 @@ def produce(tmp: Path) -> dict[str, str]:
     files["errors.json"] = _json(errors)
 
     files["instances.json"] = _json(instance_digests())
+    files["roles.json"] = _json(roles_digest())
     files["classify_corpus_9.json"] = _json(classify_sweep_digest())
     files["classify_mutants_9.json"] = _json(classify_mutant_digest())
     files["builders.json"] = _json(builder_digest())

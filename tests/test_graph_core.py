@@ -30,12 +30,15 @@ def cycle_graph(n: int) -> Graph:
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(0, 2)}))
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(2, 4)}))
+    # Graph(...) and from_edges check every edge; from_edges writes a
+    # reversed pair smaller end first
+    for n, pair in ((3, (0, 2)), (3, (2, 4)), (0, (1, 2)), (3, (2, 1)), (3, (2, 2))):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(n, frozenset({pair}))
+    for n, pair in ((3, (0, 2)), (3, (2, 4)), (0, (1, 2)), (3, (1, 1))):
+        with pytest.raises(ValueError, match="out of range|loop"):
+            Graph.from_edges(n, [pair])
+    assert Graph.from_edges(3, [(2, 1)]).edges == frozenset({(1, 2)})
 
 
 def test_delete_edge_basics(k4):
@@ -176,6 +179,21 @@ def test_contract_counts(g):
     h = contract_edge(g, e)
     assert h.n == g.n - 1
     assert h.m <= g.m - 1
+
+
+@given(graphs(9), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_derived_graphs_pass_the_edge_check(g, rng):
+    # relabel, delete_edge and contract_edge build their graphs unchecked
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    derived = [g.relabel({v: perm[v - 1] for v in g.vertices()})]
+    if g.edges:
+        e = rng.choice(sorted(g.edges))
+        derived += [delete_edge(g, e), contract_edge(g, e)]
+    for h in derived:
+        assert type(h.edges) is frozenset
+        assert Graph(h.n, h.edges) == h
 
 
 @given(graphs(9), st.randoms())
