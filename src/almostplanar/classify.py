@@ -11,12 +11,11 @@ spec's graph and, once `verify` asks, its oracle spectrum.
 Almost-planarity and the prediction are invariant under isomorphism:
 a matched input takes the verdict and the prediction of its class,
 each computed once and cached, and an unmatched input is decided on
-its own graph.  A class inherits its verdict from the full instance of
-its first spec's family (B_n for a bicycle minor, all three chords for
-the K33 chains and fan families), which spans the class graph on the
-same labels: one walk of each full instance decides every class under
-it, and the cover relation is checked at run time, so the verdict is
-always the one a walk of the class graph gives.  Once the index for the
+its own graph.  A class inherits its verdict from one walk of its
+family's full instance (see `IsoClass.verdict`).  One index is kept per
+vertex count; above `B_MINOR_CAP`, an input with no hub of bicycle-minor
+degree reads the full one if built and otherwise builds one without the
+bicycle minors, whose sweep it never runs.  Once the index for the
 input's vertex count is built, the match comes first: every indexed
 instance is non-planar and 3-connected, so a match implies both gates,
 and only an unmatched input runs them and the verdict.  Until the index
@@ -38,13 +37,14 @@ from typing import Mapping, Optional
 from .constructive import predicted_lengths
 from .errors import OracleCapError
 from .families import (
-    FamilySpec, family_of, generate, instances, spec_is_4_connected, spec_to_json
+    B_MINOR_CAP, FamilySpec, family_of, generate, instances, spec_is_4_connected,
+    spec_to_json,
 )
 from .graph import Edge, Graph, _colored_isomorphism, _refine_colors, is_k_connected
 from .oracle import CycleSpectrum, cycle_spectrum
 from .planarity import almost_planar_verdict, almost_planar_verdict_within, is_planar
 
-DEFAULT_CLASSIFY_CAP = 12
+DEFAULT_CLASSIFY_CAP = B_MINOR_CAP
 
 GATE_PLANAR = "planar"
 GATE_NOT_3_CONNECTED = "not-3-connected"
@@ -159,18 +159,27 @@ class IsoClass:
 
 Index = Mapping[tuple, tuple[IsoClass, ...]]
 
-# The built indexes, by (n, include_bicycle).
-_indexes: dict[tuple[int, bool], Index] = {}
+# One built index per vertex count, with whether it holds the bicycle minors.
+_indexes: dict[int, tuple[bool, Index]] = {}
+
+
+def _built(n: int, include_bicycle: bool) -> Optional[Index]:
+    """The built index on n vertices that serves the request, or None."""
+    full, index = _indexes.get(n, (False, None))
+    return index if full or not include_bicycle else None
 
 
 def _candidates(n: int, include_bicycle: bool = True) -> Index:
     """The family instances on n vertices as isomorphism classes, keyed by
     refinement signature (n, m, rounds); classes are in the priority
     order of their first specs.  Each instance is refined once.  Built
-    once per key and read-only, since every caller shares it."""
-    index = _indexes.get((n, include_bicycle))
+    once per n and read-only, since every caller shares it.  A full index
+    also serves a request without the bicycle minors, and a full build
+    first drops the bicycle-free index of its n, so the two never coexist."""
+    index = _built(n, include_bicycle)
     if index is not None:
         return index
+    _indexes.pop(n, None)
     buckets: dict[tuple, list[tuple[list[FamilySpec], list[Graph], dict[int, int]]]] = {}
     for spec, g in instances(n, include_bicycle):
         colors, rounds = _refine_colors(g)
@@ -182,7 +191,7 @@ def _candidates(n: int, include_bicycle: bool = True) -> Index:
                 break
         else:
             bucket.append(([spec], [g], colors))
-    index = _indexes[(n, include_bicycle)] = MappingProxyType(
+    index = MappingProxyType(
         {
             sig: tuple(
                 IsoClass(tuple(specs), tuple(graphs), MappingProxyType(colors))
@@ -191,12 +200,8 @@ def _candidates(n: int, include_bicycle: bool = True) -> Index:
             for sig, bucket in buckets.items()
         }
     )
+    _indexes[n] = include_bicycle, index
     return index
-
-
-def _is_built(n: int, include_bicycle: bool = True) -> bool:
-    """Whether `_candidates(n, include_bicycle)` is built."""
-    return (n, include_bicycle) in _indexes
 
 
 def _match(index: Index, g: Graph) -> Optional[tuple[IsoClass, dict[int, int]]]:
@@ -234,15 +239,15 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
         raise OracleCapError(f"classification capped at n <= {cap}, got {g.n}")
 
     # Spoke-deleted bicycle minors keep a hub of degree >= ceil((n-2)/2)+1,
-    # so lower-degree inputs skip that (large) sweep entirely.
+    # so above the sweep bound lower-degree inputs skip that (large) sweep.
     max_degree = g.degree_sequence()[-1] if g.n else 0
-    include_bicycle = g.n <= 12 or max_degree >= (g.n - 1) // 2 + 1
-    warm = (g.n, include_bicycle) in _indexes
-    if warm:
+    include_bicycle = g.n <= B_MINOR_CAP or max_degree >= (g.n - 1) // 2 + 1
+    index = _built(g.n, include_bicycle)
+    if index is not None:
         # Every indexed instance is non-planar and 3-connected, so a match
         # passes both gates, and almost-planarity is invariant under
         # isomorphism, so it takes the cached verdict of its class.
-        found = _match(_candidates(g.n, include_bicycle), g)
+        found = _match(index, g)
         if found is not None and found[0].verdict[0]:
             return _matched(*found)
 
@@ -260,7 +265,7 @@ def classify(g: Graph, cap: int = DEFAULT_CLASSIFY_CAP) -> Classification:
     # An index costs far more to build than the 2m left-right tests that
     # decided the input (seconds at n = 12, and the bicycle sweep grows as
     # 3^(n-2) above it), so only an almost-planar input builds one.
-    if not warm:
+    if index is None:
         found = _match(_candidates(g.n, include_bicycle), g)
         if found is not None:
             return _matched(*found)

@@ -32,6 +32,7 @@ from .families import (
     family_of,
     generate,
     rim_index,
+    spec_is_4_connected,
 )
 from .graph import Graph
 from .oracle import CycleSpectrum, validate_cycle, validate_path
@@ -127,15 +128,14 @@ def _rim_walk(n: int, first: int, count: int) -> list[int]:
 
 
 def _spoke_present(spec: Bicycle, hub: str, i: int) -> bool:
-    i = rim_index(spec.n, i)
-    removed = spec.removed_s if hub == "s" else spec.removed_t
-    return i not in removed
+    """Whether hub "s" or "t" keeps its spoke to rim vertex i: letter B or its own."""
+    return spec.rim_word[rim_index(spec.n, i) - 1] in ("B", hub.upper())
 
 
 def bicycle_cycle(inst: LabeledInstance, length: int) -> list[int]:
     """Cycle in the full B_n: hub, a rim arc of length-2 vertices, other hub."""
     spec, n, hub_s, hub_t = _bicycle_parts(inst)
-    if spec.removed_s or spec.removed_t:
+    if not spec_is_4_connected(spec):
         raise ValueError("bicycle_cycle needs the full B_n (no removed spokes)")
     if not 3 <= length <= n:
         raise NotInSpectrumError(f"B_{n} cycle length must be in 3..{n}")
@@ -151,7 +151,7 @@ def bicycle_ham_path(inst: LabeledInstance, u: int, v: int) -> list[int]:
     hubs, and walks the complementary arc.
     """
     spec, n, hub_s, hub_t = _bicycle_parts(inst)
-    if spec.removed_s or spec.removed_t:
+    if not spec_is_4_connected(spec):
         raise ValueError("bicycle_ham_path needs the full B_n (no removed spokes)")
     if u == v:
         raise ValueError("endpoints must differ")
@@ -215,7 +215,7 @@ def a_even_cycle(inst: LabeledInstance, length: int) -> list[int]:
         raise NotInSpectrumError(f"A_{n} cycle length must be even in 4..{n}")
     # The hub of the odd rim vertices opens each cycle; the other hub,
     # of the even ones, closes the longest.
-    odd_hub, even_hub = (hub_t, hub_s) if 1 in spec.removed_s else (hub_s, hub_t)
+    odd_hub, even_hub = (hub_t, hub_s) if spec.rim_word[0] == "T" else (hub_s, hub_t)
     if length == n:
         seq = [odd_hub, 1, 2, even_hub] + list(range(n - 2, 2, -1))
     else:
@@ -224,10 +224,10 @@ def a_even_cycle(inst: LabeledInstance, length: int) -> list[int]:
 
 
 def _adjacent_same_hub_pair(spec: Bicycle) -> Optional[tuple[str, int]]:
-    r = spec.n - 2
+    word = spec.rim_word
     for hub in ("s", "t"):
-        for i in range(1, r + 1):
-            if _spoke_present(spec, hub, i) and _spoke_present(spec, hub, i + 1):
+        for i, pair in enumerate(zip(word, word[1:] + word[0]), 1):
+            if set(pair) <= {"B", hub.upper()}:
                 return hub, i
     return None
 
@@ -466,7 +466,7 @@ def _bicycle_lengths(spec: Bicycle) -> Optional[frozenset[int]]:
 
 
 def _bicycle_builder(spec: Bicycle, inst: LabeledInstance) -> Builder:
-    if not spec.removed_s and not spec.removed_t:
+    if spec_is_4_connected(spec):
         return partial(bicycle_cycle, inst)
     if bicycle_is_bipartite(spec):
         return partial(a_even_cycle, inst)

@@ -644,9 +644,9 @@ def gen_h2(
 # -- enumeration of bicycle minors ----------------------------------------------
 #
 # The enumeration runs over rim words in {B, S, T}: a word with an N is
-# never 3-connected.
+# never 3-connected.  B_MINOR_CAP, the sweep's bound, is also classify's.
 
-_B_MINOR_CAP = 12
+B_MINOR_CAP = 12
 
 
 def _pattern_orbit(state: str) -> set[str]:
@@ -662,7 +662,7 @@ def _pattern_orbit(state: str) -> set[str]:
     return orbit
 
 
-def enumerate_b_minors(n: int, cap: int = _B_MINOR_CAP) -> tuple[Bicycle, ...]:
+def enumerate_b_minors(n: int, cap: int = B_MINOR_CAP) -> tuple[Bicycle, ...]:
     """All 3-connected non-planar spoke-deletion specs of B_n.
 
     Both filters are the spoke rules, so no graph is built.  Results are
@@ -800,9 +800,10 @@ def spec_to_json(spec: FamilySpec) -> dict:
 
 
 def generate(spec: FamilySpec) -> LabeledInstance:
-    """Build the labeled instance for any family spec."""
+    """Build the instance of any family spec, with ``family`` the spec itself."""
     family = family_of(spec)
-    return family.build(*(getattr(spec, name) for name, _, _ in family.params))
+    built = family.build(*(getattr(spec, name) for name, _, _ in family.params))
+    return LabeledInstance(built.graph, spec)
 
 
 # -- the family instances on n vertices ----------------------------------------------
@@ -838,7 +839,7 @@ def instances(
     if n >= 6 and n % 2 == 0:
         specs.append(Mobius(n // 2))
     if n >= 5 and include_bicycle:
-        specs += enumerate_b_minors(n, cap=max(n, _B_MINOR_CAP))
+        specs += enumerate_b_minors(n, cap=n)
     for spec_type in (H1, H2):
         for p in range(1, n - 4):
             for q in range(1, n - 3 - p):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import constructive, errata, families, oracle, planarity
-from .classify import GATE_ALMOST_PLANAR, IsoClass, _candidates, _is_built
+from .classify import GATE_ALMOST_PLANAR, IsoClass, _candidates
 from .classify import classify as classify_graph
 from .errors import OracleCapError
 from .graph import (
@@ -51,16 +51,13 @@ def _fail(name: str, detail: str, g: Optional[Graph] = None) -> CheckResult:
 def _corpus(n_max: int, include_bicycle: bool = True) -> list[IsoClass]:
     """The isomorphism classes of the family instances with n <= n_max,
     from classify's index.  With include_bicycle=False the bicycle minors
-    may be missing: an index already built with them serves, and
-    otherwise one is built without their sweep.  An n_max over the
-    oracle cap is refused before the bicycle sweep runs over its 3^(n-2)
-    spoke patterns."""
+    may be missing: a full index serves once built, and otherwise one is
+    built without their sweep.  An n_max over the oracle cap is refused
+    before the bicycle sweep runs over its 3^(n-2) spoke patterns."""
     cap = oracle.oracle_cap()
     if n_max > cap:
         raise OracleCapError(f"corpus too large for oracle: max_n={n_max} > cap {cap}")
-    indexes = (
-        _candidates(n, include_bicycle or _is_built(n)) for n in range(5, n_max + 1)
-    )
+    indexes = (_candidates(n, include_bicycle) for n in range(5, n_max + 1))
     return [cls for index in indexes for bucket in index.values() for cls in bucket]
 
 
@@ -216,17 +213,14 @@ def criterion_almost_planarity(max_n: Optional[int] = None) -> CheckResult:
     """Almost-planarity holds for every instance and fails where it must;
     classification round-trips.
 
-    Every instance's verdict comes through classify, which decides
-    almost-planarity once per isomorphism class and reads it from one
-    walk of the full instance over the class graph (B_n for a bicycle
-    minor, all chords for the fan families), shared by every class
-    under it.
+    Every instance's verdict comes through classify, which decides it
+    once per isomorphism class (see `classify.IsoClass.verdict`).
     """
     name = "almost-planarity"
     n_max = 12 if max_n is None else max_n
     members = [m for cls in _corpus(n_max) for m in zip(cls.specs, cls.graphs)]
     for spec, g in members:
-        res = classify_graph(g, cap=max(n_max, 12))
+        res = classify_graph(g, cap=n_max)
         if res.gate != GATE_ALMOST_PLANAR:
             return _fail(name, f"{spec}: gate {res.gate}", g)
         if res.matched_spec is None:

@@ -3,9 +3,9 @@
 A functools cache anywhere in ``almostplanar.*``, or a module-level dict
 that the program fills as it runs, is a cache.  Exactly three exist:
 the planarity cache and the verdict cache, each an LRU with a fixed
-bound, and classify's index, which holds an entry per vertex count
-(and bicycle-sweep choice) up to the classify cap.  A new one fails
-here until it is bounded and listed.
+bound, and classify's index, which holds one entry per vertex count up
+to the classify cap.  A new one fails here until it is bounded and
+listed.
 """
 
 import importlib

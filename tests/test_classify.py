@@ -194,7 +194,9 @@ def test_unmatched_almost_planar_graph_gets_a_null_spec(monkeypatch):
     }
     monkeypatch.setattr(classify_module, "_indexes", {})
     assert classify(UNMATCHED_7).to_json() == want  # cold: builds the index
-    assert list(classify_module._indexes) == [(7, True)]
+    assert [(n, full) for n, (full, _) in classify_module._indexes.items()] == [
+        (7, True)
+    ]
     assert classify(UNMATCHED_7).to_json() == want  # warm
 
 
@@ -517,6 +519,41 @@ def test_verify_suites_build_each_index_once(monkeypatch):
     assert all(res.passed for res in verify_module.run_suite("all", 10))
     assert builds == [(n, True) for n in range(5, 11)]
     assert sweeps == list(range(5, 11))
+
+
+def test_one_index_per_vertex_count(monkeypatch):
+    # With the sweep bound patched to 6, the degree rule fires at n = 8:
+    # V_8 is cubic, and every bicycle minor on 8 vertices has a hub of
+    # degree at least 4, so a V_8 query needs no bicycle minor.
+    monkeypatch.setattr(classify_module, "B_MINOR_CAP", 6)
+    monkeypatch.setattr(classify_module, "_indexes", {})
+    real_instances = classify_module.instances
+    builds = []
+
+    def counted(n, include_bicycle=True):
+        # a full build starts only after the bicycle-free index is dropped
+        assert n not in classify_module._indexes
+        builds.append((n, include_bicycle))
+        return real_instances(n, include_bicycle)
+
+    monkeypatch.setattr(classify_module, "instances", counted)
+    query = _relabelled(gen_mobius(4).graph, random.Random(5))
+    cold = classify(query).to_json()
+    assert builds == [(8, False)]
+    [(full, free)] = classify_module._indexes.values()
+    assert not full
+
+    index = classify_module._candidates(8)
+    assert index is not free
+    assert builds == [(8, False), (8, True)]
+    assert classify_module._indexes == {8: (True, index)}
+    assert classify_module._candidates(8, include_bicycle=False) is index
+
+    # the low-degree query reads the full index and builds nothing
+    assert classify(query).to_json() == cold
+    assert cold["spec"] == {"family": "mobius", "k": 4}
+    assert builds == [(8, False), (8, True)]
+    assert classify_module._indexes == {8: (True, index)}
 
 
 def test_cold_classify_b10_lr_test_count(monkeypatch):

@@ -321,6 +321,23 @@ def test_bicycle_walks_make_constant_rim_index_calls(monkeypatch):
     assert max(counts[10_000]) <= 3
 
 
+def test_constructive_spectrum_builds_a_minors_rim_word_once(monkeypatch):
+    # generate hands back the caller's spec, so the spectrum rule and every
+    # builder share its cached rim word
+    builds = []
+
+    def counted(spec):
+        builds.append(spec)
+        return rim_word(spec)
+
+    rim_word = families._rim_word
+    monkeypatch.setattr(families, "_rim_word", counted)
+    spec = a_graph_spec(1000)
+    assert generate(spec).family is spec
+    constructive_spectrum(spec)
+    assert builds == [spec]
+
+
 def test_a_even_cycle_builds_the_rim_word_once_per_spec(monkeypatch):
     # the bipartite precondition reads the spec's cached rim word, which
     # generating the instance built; ten builder calls build no other
